@@ -16,7 +16,7 @@ fn bench_bayes(c: &mut Criterion) {
         for tok in split_tokens(&text, &delims) {
             let label = find_matches(&set, &tok)
                 .first()
-                .map(|m| m.concept.clone())
+                .map(|m| m.concept.to_owned())
                 .unwrap_or_else(|| "unknown".into());
             labeled.push((label, tok));
         }

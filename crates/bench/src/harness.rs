@@ -39,7 +39,7 @@ pub fn labeled_tokens(
             for token in split_tokens(text, &delims) {
                 let label = webre_concepts::matcher::find_matches(concepts, &token)
                     .first()
-                    .map(|m| m.concept.clone())
+                    .map(|m| m.concept.to_owned())
                     .unwrap_or_else(|| "unknown".to_owned());
                 out.push((label, token));
             }

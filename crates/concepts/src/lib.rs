@@ -30,7 +30,7 @@ pub mod discovery;
 pub mod matcher;
 pub mod resume;
 
-pub use automaton::ConceptMatcher;
+pub use automaton::{ConceptMatcher, MatchScratch};
 pub use concept::{Concept, ConceptRole, ConceptSet, Domain};
 pub use constraints::{Comparator, Constraint, ConstraintSet};
 pub use matcher::{find_matches, ConceptMatch};

@@ -10,33 +10,35 @@
 
 use crate::concept::ConceptSet;
 
-/// One concept-instance match inside a token.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConceptMatch {
+/// One concept-instance match inside a token. The concept name and the
+/// instance borrow from the concept set (naive scanner) or the compiled
+/// automaton, so reporting a match copies no strings.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConceptMatch<'a> {
     /// The matched concept's name.
-    pub concept: String,
+    pub concept: &'a str,
     /// The instance text that matched.
-    pub instance: String,
+    pub instance: &'a str,
     /// Byte offset of the match in the original token text.
     pub start: usize,
     /// Byte length of the matched region in the original token text.
     pub len: usize,
 }
 
-impl ConceptMatch {
+impl ConceptMatch<'_> {
     /// Byte offset one past the end of the match.
     pub fn end(&self) -> usize {
         self.start + self.len
     }
 }
 
-/// Lowercases `text` while keeping a map from each byte of the lowered
-/// string back to the byte offset of the originating character in `text`.
-/// Shared with the automaton fast path so both matchers see the exact
-/// same lowered text and offset mapping.
-pub(crate) fn lower_with_map(text: &str) -> (String, Vec<usize>) {
-    let mut lower = String::with_capacity(text.len());
-    let mut map = Vec::with_capacity(text.len());
+/// Lowercases `text` into `lower` while keeping in `map` the byte offset
+/// in `text` of the character each byte of `lower` came from (both
+/// buffers are cleared first). Shared with the automaton so both matchers
+/// see the exact same lowered text and offset mapping.
+pub(crate) fn lower_with_map(text: &str, lower: &mut String, map: &mut Vec<usize>) {
+    lower.clear();
+    map.clear();
     for (orig_idx, ch) in text.char_indices() {
         for lc in ch.to_lowercase() {
             let before = lower.len();
@@ -47,7 +49,6 @@ pub(crate) fn lower_with_map(text: &str) -> (String, Vec<usize>) {
         }
     }
     map.push(text.len()); // sentinel for end-of-string mapping
-    (lower, map)
 }
 
 pub(crate) fn is_word_char(c: char) -> bool {
@@ -65,8 +66,9 @@ pub(crate) fn is_word_char(c: char) -> bool {
 /// (one automaton pass over the text); this scanner is retained as the
 /// independent reference the `matcher-vs-naive` differential oracle
 /// checks the automaton against.
-pub fn find_matches(set: &ConceptSet, text: &str) -> Vec<ConceptMatch> {
-    let (lower, map) = lower_with_map(text);
+pub fn find_matches<'a>(set: &'a ConceptSet, text: &str) -> Vec<ConceptMatch<'a>> {
+    let (mut lower, mut map) = (String::new(), Vec::new());
+    lower_with_map(text, &mut lower, &mut map);
     let mut candidates: Vec<ConceptMatch> = Vec::new();
     for concept in set.iter() {
         for instance in &concept.instances {
@@ -91,8 +93,8 @@ pub fn find_matches(set: &ConceptSet, text: &str) -> Vec<ConceptMatch> {
                     let orig_start = map[begin];
                     let orig_end = map[end];
                     candidates.push(ConceptMatch {
-                        concept: concept.name.clone(),
-                        instance: instance.clone(),
+                        concept: &concept.name,
+                        instance,
                         start: orig_start,
                         len: orig_end - orig_start,
                     });
@@ -121,8 +123,8 @@ pub fn find_matches(set: &ConceptSet, text: &str) -> Vec<ConceptMatch> {
 pub fn matched_concepts(set: &ConceptSet, text: &str) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
     for m in find_matches(set, text) {
-        if !out.contains(&m.concept) {
-            out.push(m.concept);
+        if !out.iter().any(|c| c == m.concept) {
+            out.push(m.concept.to_owned());
         }
     }
     out
@@ -158,7 +160,8 @@ mod tests {
 
     #[test]
     fn finds_single_instance() {
-        let ms = find_matches(&set(), "University of California at Davis");
+        let set = set();
+        let ms = find_matches(&set, "University of California at Davis");
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].concept, "institution");
         assert_eq!(ms[0].start, 0);
@@ -167,7 +170,8 @@ mod tests {
 
     #[test]
     fn case_insensitive_matching() {
-        let ms = find_matches(&set(), "UNIVERSITY education");
+        let set = set();
+        let ms = find_matches(&set, "UNIVERSITY education");
         assert_eq!(ms[0].concept, "institution");
     }
 
@@ -199,14 +203,16 @@ mod tests {
 
     #[test]
     fn repeated_instance_matches_each_occurrence() {
-        let ms = find_matches(&set(), "University and University");
+        let set = set();
+        let ms = find_matches(&set, "University and University");
         assert_eq!(ms.len(), 2);
         assert!(ms[0].start < ms[1].start);
     }
 
     #[test]
     fn punctuation_in_instance_is_matched_literally() {
-        let ms = find_matches(&set(), "earned a B.S. in 1996");
+        let set = set();
+        let ms = find_matches(&set, "earned a B.S. in 1996");
         assert_eq!(ms.len(), 2);
         assert_eq!(ms[0].concept, "degree");
         assert_eq!(ms[1].concept, "date");

@@ -159,11 +159,13 @@ fn unmatched_concept_is_inert() {
     prop::check_cases("unmatched_concept_is_inert", CASES, |g| {
         let mut set = gen_set(g);
         let text = gen_text(g);
-        let before = ConceptMatcher::new(&set).find_matches(&text);
+        let before_matcher = ConceptMatcher::new(&set);
+        let before = before_matcher.find_matches(&text);
         // `qq` cannot occur: no pool entry contains a double q.
         let inert = g.vec(1, 3, |g| format!("qq{}", g.int(0u32..1000)));
         set.add(Concept::new("inert", ConceptRole::Content, inert));
-        let after = ConceptMatcher::new(&set).find_matches(&text);
+        let after_matcher = ConceptMatcher::new(&set);
+        let after = after_matcher.find_matches(&text);
         prop_assert_eq!(after, before, "inert concept changed matches on {:?}", text);
         Ok(())
     });
@@ -194,7 +196,8 @@ fn empty_edges_are_no_ops() {
             c.instances.push(String::new());
             padded.add(c);
         }
-        let after = ConceptMatcher::new(&padded).find_matches(&text);
+        let padded_matcher = ConceptMatcher::new(&padded);
+        let after = padded_matcher.find_matches(&text);
         prop_assert_eq!(after, before, "empty instances changed matches");
         Ok(())
     });

@@ -2,7 +2,7 @@
 
 use crate::node::ConvNode;
 use webre_concepts::{Constraint, ConstraintSet};
-use webre_html::taxonomy::{group_tag_weight, is_list_tag};
+use webre_html::taxonomy::Tag;
 use webre_obs::{counter, Ctx};
 use webre_tree::{NodeId, Tree};
 
@@ -25,8 +25,9 @@ pub fn grouping_rule_obs(tree: &mut Tree<ConvNode>, ctx: Ctx<'_>) {
     // re-fetch child lists after processing each node.
     let mut groups_sunk = 0u64;
     let mut work = vec![tree.root()];
+    let mut children: Vec<NodeId> = Vec::new();
     while let Some(node) = work.pop() {
-        groups_sunk += group_children(tree, node);
+        groups_sunk += group_children(tree, node, &mut children);
         work.extend(tree.children(node));
     }
     if groups_sunk > 0 {
@@ -34,31 +35,40 @@ pub fn grouping_rule_obs(tree: &mut Tree<ConvNode>, ctx: Ctx<'_>) {
     }
 }
 
+/// Index of the first child in `children[from..]` carrying `tag`.
+fn next_marker(
+    tree: &Tree<ConvNode>,
+    children: &[NodeId],
+    from: usize,
+    tag: &Tag,
+) -> Option<usize> {
+    children[from..]
+        .iter()
+        .position(|&c| tree.value(c).html_tag() == Some(tag))
+        .map(|i| from + i)
+}
+
 /// Runs one grouping step over the direct children of `parent`, returning
-/// the number of `GROUP` nodes created.
-fn group_children(tree: &mut Tree<ConvNode>, parent: NodeId) -> u64 {
-    // Find the highest-priority group tag among element children.
-    let best: Option<(u32, String)> = tree
+/// the number of `GROUP` nodes created. `children` is scratch space.
+fn group_children(tree: &mut Tree<ConvNode>, parent: NodeId, children: &mut Vec<NodeId>) -> u64 {
+    // Find the highest-priority group tag among element children. Group
+    // weights are distinct per tag, so the weight alone picks the tag.
+    let best: Option<(u32, &Tag)> = tree
         .children(parent)
-        .filter_map(|c| tree.value(c).html_name())
-        .filter_map(|name| group_tag_weight(name).map(|w| (w, name.to_owned())))
-        .max();
+        .filter_map(|c| tree.value(c).html_tag())
+        .filter_map(|tag| tag.group_weight().map(|w| (w, tag)))
+        .max_by_key(|&(w, _)| w);
     let Some((_, tag)) = best else { return 0 };
+    let tag = tag.clone();
     let mut created = 0u64;
 
-    let children = tree.children_vec(parent);
-    let marker_positions: Vec<usize> = children
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| tree.value(**c).html_name() == Some(tag.as_str()))
-        .map(|(i, _)| i)
-        .collect();
-    for (mi, &pos) in marker_positions.iter().enumerate() {
-        let span_end = marker_positions
-            .get(mi + 1)
-            .copied()
-            .unwrap_or(children.len());
-        let span = &children[pos + 1..span_end];
+    children.clear();
+    children.extend(tree.children(parent));
+    let mut marker = next_marker(tree, children, 0, &tag);
+    while let Some(pos) = marker {
+        let next = next_marker(tree, children, pos + 1, &tag);
+        let span = &children[pos + 1..next.unwrap_or(children.len())];
+        marker = next;
         if span.is_empty() {
             continue;
         }
@@ -106,6 +116,8 @@ pub fn consolidation_rule_with_obs(
     ctx: Ctx<'_>,
 ) {
     let mut consolidated = 0u64;
+    let mut children: Vec<NodeId> = Vec::new();
+    let mut concept_children: Vec<NodeId> = Vec::new();
     let order: Vec<NodeId> = tree.post_order(tree.root()).collect();
     for id in order {
         if id == tree.root() || !tree.is_attached(id) {
@@ -121,23 +133,22 @@ pub fn consolidation_rule_with_obs(
         consolidated += 1;
         let parent = tree.parent(id).expect("attached non-root");
         if tree.is_leaf(id) {
-            if let Some(val) = tree.value(id).val().map(str::to_owned) {
-                tree.value_mut(parent).push_val(&val);
-            }
+            let val = tree.value_mut(id).take_val();
+            tree.value_mut(parent).absorb_val(val);
             tree.detach(id);
             continue;
         }
-        let children = tree.children_vec(id);
+        children.clear();
+        children.extend(tree.children(id));
         if should_push_up(tree, id, &children) {
             // The node's accumulated text describes its content: hand it to
             // the first pushed-up child rather than the parent, so e.g. a
             // heading's stray text stays with its section concept.
-            if let Some(val) = tree.value(id).val().map(str::to_owned) {
-                tree.value_mut(children[0]).push_val(&val);
-            }
+            let val = tree.value_mut(id).take_val();
+            tree.value_mut(children[0]).absorb_val(val);
             tree.replace_with_children(id);
         } else {
-            promote_first_concept(tree, id, &children, constraints);
+            promote_first_concept(tree, id, &children, constraints, &mut concept_children);
         }
     }
     if consolidated > 0 {
@@ -156,10 +167,8 @@ fn parent_forbidden(constraints: &ConstraintSet, parent: &str, child: &str) -> b
 
 /// Decides the push-up case of the consolidation rule.
 fn should_push_up(tree: &Tree<ConvNode>, id: NodeId, children: &[NodeId]) -> bool {
-    if let Some(name) = tree.value(id).html_name() {
-        if is_list_tag(name) {
-            return true;
-        }
+    if tree.value(id).html_tag().is_some_and(Tag::is_list_tag) {
+        return true;
     }
     // All children carry the same concept name.
     let mut names = children.iter().map(|c| tree.value(*c).concept_name());
@@ -170,7 +179,8 @@ fn should_push_up(tree: &Tree<ConvNode>, id: NodeId, children: &[NodeId]) -> boo
 }
 
 /// Replaces `id` by its first admissible concept child; remaining children
-/// are appended to that child, preserving order.
+/// are appended to that child, preserving order. `concept_children` is
+/// scratch space.
 ///
 /// Without constraints "admissible" is simply "first concept child". With
 /// constraints, a child is skipped when a negated `parent` constraint
@@ -182,12 +192,15 @@ fn promote_first_concept(
     id: NodeId,
     children: &[NodeId],
     constraints: Option<&ConstraintSet>,
+    concept_children: &mut Vec<NodeId>,
 ) {
-    let concept_children: Vec<NodeId> = children
-        .iter()
-        .copied()
-        .filter(|c| tree.value(*c).concept_name().is_some())
-        .collect();
+    concept_children.clear();
+    concept_children.extend(
+        children
+            .iter()
+            .copied()
+            .filter(|c| tree.value(*c).concept_name().is_some()),
+    );
     let admissible = constraints.and_then(|cs| {
         concept_children.iter().copied().find(|cand| {
             let cand_name = tree.value(*cand).concept_name().expect("concept");
@@ -202,19 +215,17 @@ fn promote_first_concept(
         })
     });
     // Bottom-up processing guarantees children are concept nodes by now.
-    let Some(&first) = admissible.as_ref().or(concept_children.first()) else {
+    let Some(first) = admissible.or(concept_children.first().copied()) else {
         // Defensive: no concept child (possible if text rules identified
         // nothing). Fall back to pushing children up.
         let parent = tree.parent(id).expect("attached non-root");
-        if let Some(val) = tree.value(id).val().map(str::to_owned) {
-            tree.value_mut(parent).push_val(&val);
-        }
+        let val = tree.value_mut(id).take_val();
+        tree.value_mut(parent).absorb_val(val);
         tree.replace_with_children(id);
         return;
     };
-    if let Some(val) = tree.value(id).val().map(str::to_owned) {
-        tree.value_mut(first).push_val(&val);
-    }
+    let val = tree.value_mut(id).take_val();
+    tree.value_mut(first).absorb_val(val);
     for &child in children {
         if child != first {
             tree.detach(child);
@@ -232,7 +243,7 @@ mod tests {
     fn label(n: &ConvNode) -> String {
         match n {
             ConvNode::Document { .. } => "#doc".into(),
-            ConvNode::Html { name, .. } => name.clone(),
+            ConvNode::Html { name, .. } => name.to_string(),
             ConvNode::Text(_) => "#text".into(),
             ConvNode::Token(_) => "#token".into(),
             ConvNode::Group { .. } => "GROUP".into(),

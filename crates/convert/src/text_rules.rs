@@ -9,11 +9,13 @@
 //! catalogue size; the `matcher-vs-naive` oracle in `webre-check` pins its
 //! equivalence to the naive reference scanner.
 
+use std::sync::Arc;
+
 use crate::convert::{ClassifierMode, ConvertStats};
-use crate::node::{span_text, token_subspans, ConvNode, ConvTree};
-use webre_concepts::{ConceptMatcher, ConstraintSet};
+use crate::node::{span_text, ConvNode, ConvTree};
+use webre_concepts::{ConceptMatch, ConceptMatcher, ConstraintSet, MatchScratch};
 use webre_obs::{counter, Ctx};
-use webre_text::tokenize::Delimiters;
+use webre_text::tokenize::{split_token_spans_into, Delimiters};
 use webre_tree::NodeId;
 
 /// Applies the tokenization rule to the whole tree, top-down: every text
@@ -31,21 +33,48 @@ pub fn tokenization_rule(conv: &mut ConvTree, delimiters: &Delimiters) {
 pub fn tokenization_rule_obs(conv: &mut ConvTree, delimiters: &Delimiters, ctx: Ctx<'_>) {
     let ConvTree { tree, texts } = conv;
     let ids: Vec<NodeId> = tree.descendants(tree.root()).collect();
+    let mut pieces: Vec<(usize, usize)> = Vec::new();
     for id in ids {
         let ConvNode::Text(span) = *tree.value(id) else {
             continue;
         };
-        let tokens = token_subspans(span, texts, delimiters);
-        if !tokens.is_empty() {
-            ctx.count(counter::TOKENS_SPLIT, tokens.len() as u64);
+        split_token_spans_into(span_text(span, texts), delimiters, &mut pieces);
+        if !pieces.is_empty() {
+            ctx.count(counter::TOKENS_SPLIT, pieces.len() as u64);
         }
         let mut anchor = id;
-        for tok in tokens {
-            let node = tree.orphan(ConvNode::Token(tok));
+        for &(start, end) in &pieces {
+            let node = tree.orphan(ConvNode::Token(span.sub(start, end)));
             tree.insert_after(anchor, node);
             anchor = node;
         }
         tree.detach(id);
+    }
+}
+
+/// The concept names one rule run has handed out: concept nodes of the
+/// same concept share one allocation instead of copying the name per node.
+#[derive(Default)]
+struct ConceptNames(Vec<Arc<str>>);
+
+impl ConceptNames {
+    fn get(&mut self, name: &str) -> Arc<str> {
+        if let Some(known) = self.0.iter().find(|known| ***known == *name) {
+            return Arc::clone(known);
+        }
+        let fresh: Arc<str> = Arc::from(name);
+        self.0.push(Arc::clone(&fresh));
+        fresh
+    }
+}
+
+/// Number of distinct concepts among `matches`, capped at 2 — the rule
+/// only distinguishes none, one, and several.
+fn distinct_concepts(matches: &[ConceptMatch<'_>]) -> usize {
+    match matches.first() {
+        None => 0,
+        Some(first) if matches.iter().all(|m| m.concept == first.concept) => 1,
+        Some(_) => 2,
     }
 }
 
@@ -80,6 +109,10 @@ pub fn concept_instance_rule_obs(
 ) {
     let ConvTree { tree, texts } = conv;
     let mut concepts_matched = 0u64;
+    let mut names = ConceptNames::default();
+    let mut scratch = MatchScratch::default();
+    let mut matches: Vec<ConceptMatch<'_>> = Vec::new();
+    let mut accepted: Vec<&str> = Vec::new();
     let ids: Vec<NodeId> = tree.descendants(tree.root()).collect();
     for id in ids {
         let ConvNode::Token(span) = *tree.value(id) else {
@@ -87,33 +120,24 @@ pub fn concept_instance_rule_obs(
         };
         let text = span_text(span, texts);
         stats.tokens_total += 1;
-        let mut matches = match classifier {
-            ClassifierMode::BayesOnly { .. } => Vec::new(),
-            _ => matcher.find_matches(text),
-        };
+        match classifier {
+            ClassifierMode::BayesOnly { .. } => matches.clear(),
+            _ => matcher.find_matches_with(text, &mut scratch, &mut matches),
+        }
         // Constraint-guided decomposition: a match whose concept is
         // forbidden as a sibling of an earlier accepted match is dropped
         // (its text then flows into the preceding concept's segment).
         if let Some(cs) = constraints {
-            let mut accepted: Vec<String> = Vec::new();
+            accepted.clear();
             matches.retain(|m| {
-                let ok = accepted.iter().all(|a| cs.admits_siblings(a, &m.concept));
+                let ok = accepted.iter().all(|a| cs.admits_siblings(a, m.concept));
                 if ok {
-                    accepted.push(m.concept.clone());
+                    accepted.push(m.concept);
                 }
                 ok
             });
         }
-        let distinct: Vec<&str> = {
-            let mut seen: Vec<&str> = Vec::new();
-            for m in &matches {
-                if !seen.contains(&m.concept.as_str()) {
-                    seen.push(&m.concept);
-                }
-            }
-            seen
-        };
-        match distinct.len() {
+        match distinct_concepts(&matches) {
             0 => {
                 // Synonyms failed; give the classifier a chance.
                 if let Some(label) = classifier.classify(text) {
@@ -121,7 +145,7 @@ pub fn concept_instance_rule_obs(
                     stats.tokens_via_classifier += 1;
                     concepts_matched += 1;
                     *tree.value_mut(id) = ConvNode::Concept {
-                        name: label.to_owned(),
+                        name: names.get(label),
                         val: text.to_owned(),
                     };
                 } else {
@@ -135,7 +159,7 @@ pub fn concept_instance_rule_obs(
                 stats.tokens_identified += 1;
                 concepts_matched += 1;
                 *tree.value_mut(id) = ConvNode::Concept {
-                    name: matches[0].concept.clone(),
+                    name: names.get(matches[0].concept),
                     val: text.to_owned(),
                 };
             }
@@ -159,7 +183,7 @@ pub fn concept_instance_rule_obs(
                     let end = matches.get(i + 1).map_or(text.len(), |n| n.start);
                     let segment = text[m.start..end].trim();
                     let node = tree.orphan(ConvNode::Concept {
-                        name: m.concept.clone(),
+                        name: names.get(m.concept),
                         val: segment.to_owned(),
                     });
                     tree.insert_after(anchor, node);
@@ -199,7 +223,7 @@ mod tests {
         conv.tree
             .descendants(conv.tree.root())
             .filter_map(|n| match conv.tree.value(n) {
-                ConvNode::Concept { name, val } => Some((name.clone(), val.clone())),
+                ConvNode::Concept { name, val } => Some((name.to_string(), val.clone())),
                 _ => None,
             })
             .collect()

@@ -42,7 +42,7 @@ fn gen_conv_tree(g: &mut Gen) -> ConvTree {
             ids.push(conv.tree.append_child(
                 p,
                 ConvNode::Html {
-                    name: tag.to_owned(),
+                    name: tag.into(),
                     val: String::new(),
                 },
             ));

@@ -6,6 +6,8 @@
 //! entities that actually occur in 1990s/2000s-era HTML plus full numeric
 //! (`&#123;` / `&#x1F;`) support.
 
+use std::borrow::Cow;
+
 /// Named entities supported by [`decode`]. Sorted for binary search.
 const NAMED: &[(&str, char)] = &[
     ("AElig", 'Æ'),
@@ -76,8 +78,14 @@ fn lookup_named(name: &str) -> Option<char> {
 /// named references (common in old hand-written HTML) but required to be a
 /// clean word boundary in that case.
 pub fn decode(input: &str) -> String {
+    decode_cow(input).into_owned()
+}
+
+/// [`decode`] borrowing the input when it holds no reference at all — the
+/// common text run, which then costs no allocation.
+pub fn decode_cow(input: &str) -> Cow<'_, str> {
     if !input.contains('&') {
-        return input.to_owned();
+        return Cow::Borrowed(input);
     }
     let mut out = String::with_capacity(input.len());
     let bytes = input.as_bytes();
@@ -102,7 +110,7 @@ pub fn decode(input: &str) -> String {
             }
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Attempts to decode one reference at the start of `s` (which begins with

@@ -1,5 +1,6 @@
 //! Node types for parsed HTML documents.
 
+use crate::taxonomy::Tag;
 use webre_tree::Tree;
 
 /// A single `name="value"` attribute. Names are lowercased by the lexer.
@@ -14,8 +15,8 @@ pub struct Attribute {
 pub enum HtmlNode {
     /// Synthetic root of every document.
     Document,
-    /// An element; the tag name is ASCII-lowercased.
-    Element { name: String, attrs: Vec<Attribute> },
+    /// An element; the tag name is ASCII-lowercased and interned.
+    Element { name: Tag, attrs: Vec<Attribute> },
     /// A text run with entities already decoded.
     Text(String),
     /// `<!-- ... -->`
@@ -28,7 +29,7 @@ impl HtmlNode {
     /// Creates an element node with no attributes.
     pub fn element(name: &str) -> Self {
         HtmlNode::Element {
-            name: name.to_ascii_lowercase(),
+            name: Tag::new(name),
             attrs: Vec::new(),
         }
     }
@@ -40,6 +41,14 @@ impl HtmlNode {
 
     /// The element name, if this is an element.
     pub fn name(&self) -> Option<&str> {
+        match self {
+            HtmlNode::Element { name, .. } => Some(name.as_str()),
+            _ => None,
+        }
+    }
+
+    /// The interned element tag, if this is an element.
+    pub fn tag(&self) -> Option<&Tag> {
         match self {
             HtmlNode::Element { name, .. } => Some(name),
             _ => None,

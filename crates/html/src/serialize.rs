@@ -5,15 +5,18 @@
 
 use crate::node::{HtmlDocument, HtmlNode};
 use crate::entities::{escape_attr, escape_text};
-use crate::taxonomy::is_void;
+use crate::taxonomy::{KnownTag, Tag};
 use webre_tree::{Edge, NodeId};
 
 /// Elements whose text content the lexer keeps verbatim (no entity
 /// decoding). Their content must be emitted raw: escaping it would not be
 /// undone on reparse. `title`/`textarea` are raw-text too but *are*
 /// decoded by the lexer, so they take the normal escaped path.
-fn is_raw_content(name: &str) -> bool {
-    matches!(name, "script" | "style" | "xmp")
+fn is_raw_content(name: &Tag) -> bool {
+    matches!(
+        name.known(),
+        Some(KnownTag::Script | KnownTag::Style | KnownTag::Xmp)
+    )
 }
 
 /// Serializes the subtree rooted at `id` to HTML text.
@@ -29,7 +32,7 @@ pub fn subtree_to_html(doc: &HtmlDocument, id: NodeId) -> String {
                         raw_depth += 1;
                     }
                     out.push('<');
-                    out.push_str(name);
+                    out.push_str(name.as_str());
                     for a in attrs {
                         out.push(' ');
                         out.push_str(&a.name);
@@ -64,9 +67,9 @@ pub fn subtree_to_html(doc: &HtmlDocument, id: NodeId) -> String {
                     if is_raw_content(name) {
                         raw_depth -= 1;
                     }
-                    if !is_void(name) {
+                    if !name.is_void() {
                         out.push_str("</");
-                        out.push_str(name);
+                        out.push_str(name.as_str());
                         out.push('>');
                     }
                 }

@@ -18,18 +18,42 @@ impl<T> Tree<T> {
     ///
     /// Panics if `node` is the root or detached.
     pub fn replace_with_children(&mut self, node: NodeId) {
-        assert!(
-            self.parent(node).is_some(),
-            "replace_with_children requires an attached non-root node"
-        );
-        let children = self.children_vec(node);
-        let mut anchor = node;
-        for child in children {
-            self.detach(child);
-            self.insert_after(anchor, child);
-            anchor = child;
+        let parent = self
+            .parent(node)
+            .expect("replace_with_children requires an attached non-root node");
+        let (Some(first), Some(last)) = (self.first_child(node), self.last_child(node)) else {
+            self.detach(node);
+            return;
+        };
+        self.adopt_children(node, parent);
+        // Splice the child run [first, last] into node's sibling slot.
+        let (prev, next) = (self.prev_sibling(node), self.next_sibling(node));
+        self.node_mut(first).prev_sibling = prev;
+        self.node_mut(last).next_sibling = next;
+        match prev {
+            Some(prev) => self.node_mut(prev).next_sibling = Some(first),
+            None => self.node_mut(parent).first_child = Some(first),
         }
-        self.detach(node);
+        match next {
+            Some(next) => self.node_mut(next).prev_sibling = Some(last),
+            None => self.node_mut(parent).last_child = Some(last),
+        }
+        let n = self.node_mut(node);
+        n.parent = None;
+        n.prev_sibling = None;
+        n.next_sibling = None;
+        n.first_child = None;
+        n.last_child = None;
+    }
+
+    /// Points every child of `from` at `to` as its parent. The sibling
+    /// links are left to the caller, which splices the whole run at once.
+    fn adopt_children(&mut self, from: NodeId, to: NodeId) {
+        let mut cur = self.first_child(from);
+        while let Some(child) = cur {
+            self.node_mut(child).parent = Some(to);
+            cur = self.next_sibling(child);
+        }
     }
 
     /// Replaces `node` by the subtree rooted at `replacement`, detaching
@@ -54,10 +78,25 @@ impl<T> Tree<T> {
     /// preserving their order. `from` keeps its own position in the tree.
     pub fn reparent_children(&mut self, from: NodeId, to: NodeId) {
         assert!(from != to, "cannot reparent children onto the same node");
-        for child in self.children_vec(from) {
-            self.detach(child);
-            self.append(to, child);
+        let (Some(first), Some(last)) = (self.first_child(from), self.last_child(from)) else {
+            return;
+        };
+        assert!(
+            !self.is_ancestor_of(from, to),
+            "reparenting children under their own descendant would create a cycle"
+        );
+        self.adopt_children(from, to);
+        match self.last_child(to) {
+            Some(tail) => {
+                self.node_mut(tail).next_sibling = Some(first);
+                self.node_mut(first).prev_sibling = Some(tail);
+            }
+            None => self.node_mut(to).first_child = Some(first),
         }
+        self.node_mut(to).last_child = Some(last);
+        let n = self.node_mut(from);
+        n.first_child = None;
+        n.last_child = None;
     }
 
     /// Wraps the contiguous sibling run starting at `first` and spanning
@@ -218,6 +257,42 @@ mod tests {
         t.replace_with_children(mid);
         assert_eq!(labels(&t, root), ["root", "x", "a", "b", "y"]);
         assert!(!t.is_attached(mid));
+        t.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn replace_with_children_splices_at_list_edges() {
+        let mut t = Tree::new("root");
+        let root = t.root();
+        let first = t.append_child(root, "first");
+        t.append_child(root, "mid");
+        let last = t.append_child(root, "last");
+        t.append_child(first, "a");
+        t.append_child(last, "y");
+        t.append_child(last, "z");
+        t.replace_with_children(first);
+        t.replace_with_children(last);
+        assert_eq!(labels(&t, root), ["root", "a", "mid", "y", "z"]);
+        assert!(t.is_leaf(first) && t.is_leaf(last));
+        t.check_integrity().unwrap();
+
+        let mut t2 = Tree::new("root");
+        let wrapper = t2.append_child(t2.root(), "wrapper");
+        t2.append_child(wrapper, "inner");
+        t2.replace_with_children(wrapper);
+        assert_eq!(labels(&t2, t2.root()), ["root", "inner"]);
+        t2.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn reparent_children_onto_empty_node() {
+        let mut t = Tree::new("root");
+        let from = t.append_child(t.root(), "from");
+        let to = t.append_child(t.root(), "to");
+        t.append_child(from, "a");
+        t.append_child(from, "b");
+        t.reparent_children(from, to);
+        assert_eq!(labels(&t, t.root()), ["root", "from", "to", "a", "b"]);
         t.check_integrity().unwrap();
     }
 

@@ -3,27 +3,31 @@
 use crate::document::{XmlDocument, XmlNode};
 use webre_tree::{Edge, NodeId};
 
-fn escape_text(input: &str, out: &mut String) {
-    for ch in input.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(ch),
-        }
+/// Appends `input` to `out`, replacing `& < >` (and `"` when `quote`)
+/// with entities. Unescaped runs are copied whole.
+fn escape_into(input: &str, out: &mut String, quote: bool) {
+    let mut run = 0;
+    for (i, b) in input.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quote => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&input[run..i]);
+        out.push_str(entity);
+        run = i + 1;
     }
+    out.push_str(&input[run..]);
+}
+
+fn escape_text(input: &str, out: &mut String) {
+    escape_into(input, out, false);
 }
 
 fn escape_attr(input: &str, out: &mut String) {
-    for ch in input.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
-        }
-    }
+    escape_into(input, out, true);
 }
 
 fn open_tag(node: &XmlNode, out: &mut String) {
@@ -90,16 +94,22 @@ fn only_text_children(doc: &XmlDocument, id: NodeId) -> bool {
         .all(|c| matches!(doc.tree.value(c), XmlNode::Text(_)))
 }
 
+/// Two spaces per nesting level, written straight into `out`.
+fn push_indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
 fn write_pretty(doc: &XmlDocument, id: NodeId, depth: usize, out: &mut String) {
-    let indent = "  ".repeat(depth);
     match doc.tree.value(id) {
         XmlNode::Text(t) => {
-            out.push_str(&indent);
+            push_indent(out, depth);
             escape_text(t, out);
             out.push('\n');
         }
         e @ XmlNode::Element { name, .. } => {
-            out.push_str(&indent);
+            push_indent(out, depth);
             open_tag(e, out);
             if doc.tree.is_leaf(id) {
                 out.push_str("/>\n");
@@ -118,7 +128,7 @@ fn write_pretty(doc: &XmlDocument, id: NodeId, depth: usize, out: &mut String) {
                 for c in doc.tree.children(id) {
                     write_pretty(doc, c, depth + 1, out);
                 }
-                out.push_str(&indent);
+                push_indent(out, depth);
                 out.push_str("</");
                 out.push_str(name);
                 out.push_str(">\n");

@@ -17,7 +17,7 @@ use webre_text::tokenize::{split_tokens, Delimiters};
 fn true_label(set: &webre::concepts::ConceptSet, token: &str) -> String {
     let matches = find_matches(set, token);
     match matches.first() {
-        Some(m) => m.concept.clone(),
+        Some(m) => m.concept.to_owned(),
         None => "unknown".to_owned(),
     }
 }
