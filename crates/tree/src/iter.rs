@@ -96,35 +96,78 @@ impl<T> Iterator for Traverse<'_, T> {
 }
 
 /// Pre-order (document order) iterator over a subtree, including its root.
-pub struct Descendants<'a, T>(Traverse<'a, T>);
+///
+/// Walks the links directly — one step per node plus the climb out of
+/// each finished subtree — rather than filtering a [`Traverse`].
+pub struct Descendants<'a, T> {
+    tree: &'a Tree<T>,
+    scope: NodeId,
+    next: Option<NodeId>,
+}
 
 impl<T> Iterator for Descendants<'_, T> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
+        let id = self.next?;
+        self.next = match self.tree.first_child(id) {
+            Some(child) => Some(child),
+            None => self.after_subtree(id),
+        };
+        Some(id)
+    }
+}
+
+impl<T> Descendants<'_, T> {
+    /// The first node after the subtree of `id` in document order, if it
+    /// is still inside the scope.
+    fn after_subtree(&self, mut id: NodeId) -> Option<NodeId> {
         loop {
-            match self.0.next()? {
-                Edge::Open(id) => return Some(id),
-                Edge::Close(_) => continue,
+            if id == self.scope {
+                return None;
             }
+            if let Some(sib) = self.tree.next_sibling(id) {
+                return Some(sib);
+            }
+            // Within the scope every non-scope node has a parent.
+            id = self.tree.parent(id).expect("in scope");
         }
     }
 }
 
 /// Post-order iterator over a subtree, including its root (yielded last).
-pub struct PostOrder<'a, T>(Traverse<'a, T>);
+///
+/// Walks the links directly: after a node comes the deepest first leaf
+/// of its next sibling, or else its parent.
+pub struct PostOrder<'a, T> {
+    tree: &'a Tree<T>,
+    scope: NodeId,
+    next: Option<NodeId>,
+}
 
 impl<T> Iterator for PostOrder<'_, T> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        loop {
-            match self.0.next()? {
-                Edge::Close(id) => return Some(id),
-                Edge::Open(_) => continue,
-            }
-        }
+        let id = self.next?;
+        self.next = if id == self.scope {
+            None
+        } else if let Some(sib) = self.tree.next_sibling(id) {
+            Some(first_leaf(self.tree, sib))
+        } else {
+            // Within the scope every non-scope node has a parent.
+            Some(self.tree.parent(id).expect("in scope"))
+        };
+        Some(id)
     }
+}
+
+/// The first node of the subtree at `id` in post-order: its leftmost leaf.
+fn first_leaf<T>(tree: &Tree<T>, mut id: NodeId) -> NodeId {
+    while let Some(child) = tree.first_child(id) {
+        id = child;
+    }
+    id
 }
 
 impl<T> Tree<T> {
@@ -168,12 +211,20 @@ impl<T> Tree<T> {
 
     /// Pre-order iterator over the subtree rooted at `id` (inclusive).
     pub fn descendants(&self, id: NodeId) -> Descendants<'_, T> {
-        Descendants(self.traverse(id))
+        Descendants {
+            tree: self,
+            scope: id,
+            next: Some(id),
+        }
     }
 
     /// Post-order iterator over the subtree rooted at `id` (inclusive).
     pub fn post_order(&self, id: NodeId) -> PostOrder<'_, T> {
-        PostOrder(self.traverse(id))
+        PostOrder {
+            tree: self,
+            scope: id,
+            next: Some(first_leaf(self, id)),
+        }
     }
 }
 
@@ -263,6 +314,29 @@ mod tests {
         }
         assert_eq!(depth, 0);
         assert_eq!(max_depth, 3);
+    }
+
+    #[test]
+    fn walks_agree_with_traverse_edges() {
+        let (t, ids) = sample();
+        for scope in ids {
+            let opens: Vec<NodeId> = t
+                .traverse(scope)
+                .filter_map(|e| match e {
+                    Edge::Open(id) => Some(id),
+                    Edge::Close(_) => None,
+                })
+                .collect();
+            let closes: Vec<NodeId> = t
+                .traverse(scope)
+                .filter_map(|e| match e {
+                    Edge::Close(id) => Some(id),
+                    Edge::Open(_) => None,
+                })
+                .collect();
+            assert_eq!(t.descendants(scope).collect::<Vec<_>>(), opens);
+            assert_eq!(t.post_order(scope).collect::<Vec<_>>(), closes);
+        }
     }
 
     #[test]

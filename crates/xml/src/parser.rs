@@ -5,7 +5,7 @@
 //! an optional XML declaration / DOCTYPE (skipped). Unlike the HTML parser
 //! it rejects malformed input with a positioned error — XML is strict.
 
-use crate::document::{XmlDocument, XmlNode};
+use crate::document::{attr_name, XmlDocument, XmlNode};
 use std::fmt;
 use webre_tree::NodeId;
 
@@ -191,7 +191,7 @@ impl<'a> Parser<'a> {
                 .find(quote)
                 .ok_or_else(|| self.error("unterminated attribute value"))?;
             let value = decode_references(&body[..close]).map_err(|m| self.error(m))?;
-            attrs.push((key.to_owned(), value));
+            attrs.push((attr_name(key), value));
             s = body[close + 1..].trim_start();
         }
         self.pos += gt + 1;
