@@ -42,7 +42,5 @@ pub mod tidy;
 pub use node::{Attribute, HtmlDocument, HtmlNode};
 pub use parser::parse;
 pub use serialize::to_html;
-pub use taxonomy::{
-    group_tag_weight, is_block_level, is_group_tag, is_list_tag, is_void, ElementClass,
-};
+pub use taxonomy::{ElementClass, KnownTag, Tag};
 pub use tidy::tidy;
