@@ -17,13 +17,12 @@
 //! Args: `[--workers N] [--clients N] [--requests N]` (requests are per
 //! client, per scenario).
 
-use std::io::{BufReader, Write as _};
-use std::net::TcpStream;
-use std::time::Instant;
+use std::io::Write as _;
+use std::time::{Duration, Instant};
 use webre::serve::server::{ServeConfig, Server};
 use webre::Pipeline;
 use webre_corpus::CorpusGenerator;
-use webre_substrate::http::{read_response, write_request};
+use webre_substrate::http::Client;
 
 struct Scenario {
     name: &'static str,
@@ -66,10 +65,8 @@ fn run_scenario(addr: std::net::SocketAddr, clients: usize, scenario: &Scenario)
             let bodies = scenario.bodies.clone();
             let (path, requests) = (scenario.path, scenario.requests);
             std::thread::spawn(move || -> Vec<u64> {
-                let stream = TcpStream::connect(addr).expect("connect");
-                stream.set_nodelay(true).ok();
-                let mut writer = stream.try_clone().expect("clone");
-                let mut reader = BufReader::new(stream);
+                let mut client =
+                    Client::connect(addr, Duration::from_secs(120)).expect("connect");
                 let mut latencies_us = Vec::with_capacity(requests);
                 for i in 0..requests {
                     let body = if bodies.is_empty() {
@@ -79,9 +76,7 @@ fn run_scenario(addr: std::net::SocketAddr, clients: usize, scenario: &Scenario)
                     };
                     let method = if body.is_empty() { "GET" } else { "POST" };
                     let sent = Instant::now();
-                    write_request(&mut writer, method, path, body, true).expect("send");
-                    let response =
-                        read_response(&mut reader, 64 << 20).expect("response");
+                    let response = client.roundtrip(method, path, body).expect("response");
                     assert_eq!(response.status, 200, "{}", response.text());
                     latencies_us
                         .push(sent.elapsed().as_micros().min(u64::MAX as u128) as u64);

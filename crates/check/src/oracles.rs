@@ -10,6 +10,7 @@
 use crate::gen;
 use crate::reference::{ref_matches, ref_mine, sample_word};
 use std::sync::OnceLock;
+use std::time::Duration;
 use webre_concepts::{Concept, ConceptMatcher, ConceptRole, ConceptSet};
 use webre_convert::Converter;
 use webre_schema::{extract_paths, DocPaths, FrequentPathMiner};
@@ -124,6 +125,10 @@ pub fn parallel_convert(rng: &mut StdRng) -> Result<(), String> {
     }
     Ok(())
 }
+
+/// Read and write bound for the served-oracle clients: a hung server
+/// fails the case with its seed instead of hanging the battery.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Labels used by the random content models and token sequences.
 const ALPHABET: &[&str] = &["a", "b", "c", "d"];
@@ -573,11 +578,9 @@ mod tests {
 /// mine-and-derive over the whole corpus — interleaving, the response
 /// cache, and the coalesced snapshot recompute must all be invisible.
 pub fn serve_vs_batch(rng: &mut StdRng) -> Result<(), String> {
-    use std::io::BufReader;
-    use std::net::TcpStream;
     use webre_serve::server::{ServeConfig, Server};
     use webre_serve::Engine;
-    use webre_substrate::http::{read_response, write_request};
+    use webre_substrate::http::{request, Client};
 
     // Mostly resume-like documents (so a schema usually emerges), soup
     // mixed in to stress the converter's error paths under concurrency.
@@ -622,25 +625,22 @@ pub fn serve_vs_batch(rng: &mut StdRng) -> Result<(), String> {
         .map(|c| {
             let docs = docs.clone();
             std::thread::spawn(move || -> Result<Vec<(usize, String)>, String> {
-                let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-                let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-                let mut reader = BufReader::new(stream);
+                let mut client = Client::connect(addr, CLIENT_TIMEOUT)
+                    .map_err(|e| format!("connect: {e}"))?;
                 let mut converted = Vec::new();
                 for (i, doc) in docs.iter().enumerate() {
                     if i % clients != c {
                         continue;
                     }
-                    write_request(&mut writer, "POST", "/convert", doc.as_bytes(), true)
-                        .map_err(|e| e.to_string())?;
-                    let response = read_response(&mut reader, 64 << 20)
+                    let response = client
+                        .roundtrip("POST", "/convert", doc.as_bytes())
                         .map_err(|e| format!("/convert doc {i}: {e}"))?;
                     if response.status != 200 {
                         return Err(format!("/convert doc {i}: status {}", response.status));
                     }
                     converted.push((i, response.text()));
-                    write_request(&mut writer, "POST", "/corpus/docs", doc.as_bytes(), true)
-                        .map_err(|e| e.to_string())?;
-                    let response = read_response(&mut reader, 1 << 20)
+                    let response = client
+                        .roundtrip("POST", "/corpus/docs", doc.as_bytes())
                         .map_err(|e| format!("/corpus/docs doc {i}: {e}"))?;
                     if response.status != 202 {
                         return Err(format!("/corpus/docs doc {i}: status {}", response.status));
@@ -672,11 +672,7 @@ pub fn serve_vs_batch(rng: &mut StdRng) -> Result<(), String> {
 
     // Final schema state vs the sequential mine over the same corpus.
     let fetch = |path: &str| -> Result<(u16, String), String> {
-        let stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-        let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-        let mut reader = BufReader::new(stream);
-        write_request(&mut writer, "GET", path, b"", false).map_err(|e| e.to_string())?;
-        let response = read_response(&mut reader, 16 << 20).map_err(|e| e.to_string())?;
+        let response = request(addr, "GET", path, b"").map_err(|e| format!("{path}: {e}"))?;
         Ok((response.status, response.text()))
     };
     let schema = fetch("/schema")?;
@@ -969,12 +965,10 @@ pub fn shard_merge_vs_batch(rng: &mut StdRng) -> Result<(), String> {
 /// response cache, the snapshot coalescing, and client interleaving must
 /// all be invisible.
 pub fn map_vs_batch(rng: &mut StdRng) -> Result<(), String> {
-    use std::io::BufReader;
-    use std::net::TcpStream;
     use webre_map::{MapPlanner, MapTier};
     use webre_serve::server::{ServeConfig, Server};
     use webre_serve::Engine;
-    use webre_substrate::http::{read_response, write_request};
+    use webre_substrate::http::Client;
 
     let docs: Vec<String> = (0..rng.gen_range(3..=6))
         .map(|_| {
@@ -1026,13 +1020,11 @@ pub fn map_vs_batch(rng: &mut StdRng) -> Result<(), String> {
 
     // Accrete the whole corpus first so every /map sees the final schema.
     {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-        let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-        let mut reader = BufReader::new(stream);
+        let mut client =
+            Client::connect(addr, CLIENT_TIMEOUT).map_err(|e| format!("connect: {e}"))?;
         for (i, doc) in docs.iter().enumerate() {
-            write_request(&mut writer, "POST", "/corpus/docs", doc.as_bytes(), true)
-                .map_err(|e| e.to_string())?;
-            let response = read_response(&mut reader, 1 << 20)
+            let response = client
+                .roundtrip("POST", "/corpus/docs", doc.as_bytes())
                 .map_err(|e| format!("/corpus/docs doc {i}: {e}"))?;
             if response.status != 202 {
                 return Err(format!("/corpus/docs doc {i}: status {}", response.status));
@@ -1047,18 +1039,16 @@ pub fn map_vs_batch(rng: &mut StdRng) -> Result<(), String> {
         .map(|c| {
             let docs = docs.clone();
             std::thread::spawn(move || -> Result<Vec<(usize, u16, String)>, String> {
-                let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-                let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-                let mut reader = BufReader::new(stream);
+                let mut client = Client::connect(addr, CLIENT_TIMEOUT)
+                    .map_err(|e| format!("connect: {e}"))?;
                 let mut mapped = Vec::new();
                 for pass in 0..2 {
                     for (i, doc) in docs.iter().enumerate() {
                         if i % clients != c {
                             continue;
                         }
-                        write_request(&mut writer, "POST", "/map", doc.as_bytes(), true)
-                            .map_err(|e| e.to_string())?;
-                        let response = read_response(&mut reader, 64 << 20)
+                        let response = client
+                            .roundtrip("POST", "/map", doc.as_bytes())
                             .map_err(|e| format!("/map doc {i} pass {pass}: {e}"))?;
                         mapped.push((i, response.status, response.text()));
                     }
@@ -1121,13 +1111,13 @@ pub fn map_vs_batch(rng: &mut StdRng) -> Result<(), String> {
 /// account for all of them, and `requests_in_flight` must return to
 /// zero — a reap that leaks a worker or a buffer fails here.
 pub fn loris_liveness(rng: &mut StdRng) -> Result<(), String> {
-    use std::io::{BufReader, Read, Write};
+    use std::io::{Read, Write};
     use std::net::TcpStream;
     use std::sync::atomic::Ordering;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
     use webre_serve::server::{ServeConfig, Server};
     use webre_serve::Engine;
-    use webre_substrate::http::{read_response, write_request};
+    use webre_substrate::http::Client;
 
     // Short enough that 200 battery cases stay in tens of seconds, long
     // enough that several trickled bytes land inside the budget.
@@ -1165,13 +1155,9 @@ pub fn loris_liveness(rng: &mut StdRng) -> Result<(), String> {
 
     // Honest traffic while the swarm hangs: the server must stay live.
     let roundtrip = |method: &str, path: &str, body: &[u8]| -> Result<(u16, String), String> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .map_err(|e| e.to_string())?;
-        write_request(&mut stream, method, path, body, false).map_err(|e| e.to_string())?;
-        let response =
-            read_response(&mut BufReader::new(stream), 64 << 20).map_err(|e| e.to_string())?;
+        let response = Client::connect(addr, Duration::from_secs(5))
+            .and_then(|mut client| client.roundtrip(method, path, body))
+            .map_err(|e| format!("{method} {path}: {e}"))?;
         Ok((response.status, response.text()))
     };
     let (status, body) = roundtrip("POST", "/convert", document.as_bytes())?;

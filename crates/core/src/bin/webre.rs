@@ -783,21 +783,8 @@ fn cmd_load(args: &[String]) -> Result<ExitCode, CliError> {
 
     // Drain the child gracefully so its corpus/obs teardown runs.
     if child.is_some() {
-        if let Ok(mut stream) = std::net::TcpStream::connect(&addr) {
-            // webre::allow(dropped-result): best-effort drain; the Drop guard kills regardless
-            let _ = webre_substrate::http::write_request(
-                &mut stream,
-                "POST",
-                "/shutdown",
-                b"",
-                false,
-            );
-            // webre::allow(dropped-result): best-effort drain; the Drop guard kills regardless
-            let _ = webre_substrate::http::read_response(
-                &mut std::io::BufReader::new(stream),
-                1 << 20,
-            );
-        }
+        // webre::allow(dropped-result): best-effort drain; the Drop guard kills regardless
+        let _ = webre_substrate::http::request(&addr, "POST", "/shutdown", b"");
     }
     drop(child);
 
@@ -1216,25 +1203,15 @@ struct ScaleNode {
     #[allow(dead_code)]
     stdout: std::io::BufReader<std::process::ChildStdout>,
     addr: String,
-    writer: std::net::TcpStream,
-    reader: std::io::BufReader<std::net::TcpStream>,
+    client: webre_substrate::http::Client,
     /// Pipelined requests written but not yet answered.
     pending: usize,
 }
 
 /// Opens a keep-alive connection to a scale instance.
-fn scale_connect(
-    addr: &str,
-) -> Result<(std::net::TcpStream, std::io::BufReader<std::net::TcpStream>), CliError> {
-    let stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| runtime_err(format!("cannot connect to instance at {addr}: {e}")))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(120)))
-        .map_err(|e| runtime_err(format!("cannot set read timeout: {e}")))?;
-    let writer = stream
-        .try_clone()
-        .map_err(|e| runtime_err(format!("cannot clone stream: {e}")))?;
-    Ok((writer, std::io::BufReader::new(stream)))
+fn scale_connect(addr: &str) -> Result<webre_substrate::http::Client, CliError> {
+    webre_substrate::http::Client::connect(addr, std::time::Duration::from_secs(120))
+        .map_err(|e| runtime_err(format!("cannot connect to instance at {addr}: {e}")))
 }
 
 /// The fleet guard: on drop (normal exit or error unwind) every child
@@ -1319,13 +1296,12 @@ fn spawn_scale_node(
         .and_then(|rest| rest.split_whitespace().next())
         .ok_or_else(|| runtime_err(format!("unparseable serve banner: {banner:?}")))?
         .to_owned();
-    let (writer, reader) = scale_connect(&addr)?;
+    let client = scale_connect(&addr)?;
     Ok(ScaleNode {
         child,
         stdout,
         addr,
-        writer,
-        reader,
+        client,
         pending: 0,
     })
 }
@@ -1334,7 +1310,9 @@ fn spawn_scale_node(
 /// 202 accretion acknowledgment.
 fn drain_scale_node(node: &mut ScaleNode) -> Result<(), CliError> {
     while node.pending > 0 {
-        let response = webre_substrate::http::read_response(&mut node.reader, 1 << 20)
+        let response = node
+            .client
+            .recv()
             .map_err(|e| runtime_err(format!("ingest response: {e}")))?;
         if response.status != 202 {
             return Err(runtime_err(format!(
@@ -1360,35 +1338,19 @@ fn scale_roundtrip(
     target: &str,
 ) -> Result<webre_substrate::http::ParsedResponse, CliError> {
     for attempt in 0..2 {
-        let sent = webre_substrate::http::write_request(
-            &mut node.writer,
-            method,
-            target,
-            b"",
-            true,
-        );
-        if sent.is_ok() {
-            match webre_substrate::http::read_response(&mut node.reader, 256 << 20) {
-                // A 408 is the server timing out the *idle* connection:
-                // it was queued before our request arrived, so the
-                // request was never processed. Treat it like a closed
-                // connection — reconnect and resend.
-                Ok(response) if response.status == 408 && attempt == 0 => {}
-                Ok(response) => return Ok(response),
-                Err(e) if attempt == 1 => {
-                    return Err(runtime_err(format!("{method} {target}: {e}")));
-                }
-                Err(_) => {}
+        match node.client.roundtrip(method, target, b"") {
+            // A 408 is the server timing out the *idle* connection: it
+            // was queued before our request arrived, so the request was
+            // never processed. Treat it like a closed connection —
+            // reconnect and resend.
+            Ok(response) if response.status == 408 && attempt == 0 => {}
+            Ok(response) => return Ok(response),
+            Err(e) if attempt == 1 => {
+                return Err(runtime_err(format!("{method} {target}: {e}")));
             }
-        } else if attempt == 1 {
-            return Err(runtime_err(format!(
-                "{method} {target}: {}",
-                sent.expect_err("checked")
-            )));
+            Err(_) => {}
         }
-        let (writer, reader) = scale_connect(&node.addr)?;
-        node.writer = writer;
-        node.reader = reader;
+        node.client = scale_connect(&node.addr)?;
     }
     unreachable!("loop returns on success or second failure")
 }
@@ -1488,14 +1450,9 @@ fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
             return Err(runtime_err("empty hash ring"));
         };
         let node = &mut fleet.0[node as usize];
-        webre_substrate::http::write_request(
-            &mut node.writer,
-            "POST",
-            "/corpus/xml",
-            xml.as_bytes(),
-            true,
-        )
-        .map_err(|e| runtime_err(format!("ingest write: {e}")))?;
+        node.client
+            .send("POST", "/corpus/xml", xml.as_bytes())
+            .map_err(|e| runtime_err(format!("ingest write: {e}")))?;
         node.pending += 1;
         if node.pending >= batch {
             drain_scale_node(node)?;

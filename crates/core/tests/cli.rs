@@ -270,8 +270,8 @@ fn map_budget_flag_rejects_bad_values() {
 
 #[test]
 fn serve_subcommand_answers_http_and_drains_on_shutdown() {
-    use std::io::{BufRead, BufReader, Read as _, Write as _};
-    use std::net::TcpStream;
+    use std::io::{BufRead, BufReader, Read as _};
+    use webre_substrate::http::request;
 
     let mut child = bin()
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
@@ -289,26 +289,14 @@ fn serve_subcommand_answers_http_and_drains_on_shutdown() {
         .expect("address in banner")
         .to_owned();
 
-    let request = |method: &str, path: &str, body: &str| -> String {
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        response
-    };
-
-    let health = request("GET", "/healthz", "");
-    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
-    let converted = request("POST", "/convert", "<h2>Skills</h2><p>Rust</p>");
-    assert!(converted.starts_with("HTTP/1.1 200"), "{converted}");
-    assert!(converted.contains("<resume"), "{converted}");
-    let drain = request("POST", "/shutdown", "");
-    assert!(drain.starts_with("HTTP/1.1 200"), "{drain}");
+    let health = request(&addr, "GET", "/healthz", b"").expect("healthz");
+    assert_eq!(health.status, 200, "{}", health.text());
+    let converted =
+        request(&addr, "POST", "/convert", b"<h2>Skills</h2><p>Rust</p>").expect("convert");
+    assert_eq!(converted.status, 200, "{}", converted.text());
+    assert!(converted.text().contains("<resume"), "{}", converted.text());
+    let drain = request(&addr, "POST", "/shutdown", b"").expect("shutdown");
+    assert_eq!(drain.status, 200, "{}", drain.text());
 
     let status = child.wait().expect("serve exit");
     assert!(status.success(), "serve exited {status:?}");

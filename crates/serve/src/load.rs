@@ -19,12 +19,15 @@
 //! server's own `/metrics` deltas (shed accounting, reap counts,
 //! stalled workers), so a lying server cannot pass.
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use webre_substrate::http::{read_response, ParsedResponse};
+use webre_substrate::http::{request, write_request, Client};
+
+/// Read and write bound for the closed-loop and idle clients.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Everything the harness needs to know about the server under test.
 #[derive(Clone, Debug)]
@@ -269,7 +272,7 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
     let byte_identical = match &config.identity_probe {
         None => true,
         Some((body, expected)) => {
-            let response = one_shot(&config.addr, "POST", "/convert", body)
+            let response = request(&config.addr, "POST", "/convert", body)
                 .map_err(|e| format!("post-storm identity probe failed: {e}"))?;
             response.status == 200 && response.body == *expected
         }
@@ -340,36 +343,9 @@ fn percentiles(samples: &mut [u64]) -> (u64, u64, u64) {
     (pick(50, 100), pick(99, 100), pick(999, 1000))
 }
 
-/// One blocking request on a fresh connection.
-fn one_shot(addr: &str, method: &str, path: &str, body: &[u8]) -> io::Result<ParsedResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    write_request(&mut stream, method, path, body, false)?;
-    let mut reader = BufReader::new(stream);
-    read_response(&mut reader, 64 << 20).map_err(|e| io::Error::other(e.to_string()))
-}
-
-fn write_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: load\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    let mut message = head.into_bytes();
-    message.extend_from_slice(body);
-    stream.write_all(&message)
-}
-
 /// Ensures the hot body's conversion is resident before measurement.
 fn warm_cache(config: &LoadConfig) -> Result<(), String> {
-    let response = one_shot(&config.addr, "POST", "/convert", &config.hot_body)
+    let response = request(&config.addr, "POST", "/convert", &config.hot_body)
         .map_err(|e| format!("cache warm-up failed: {e}"))?;
     if response.status != 200 {
         return Err(format!("cache warm-up answered {}", response.status));
@@ -379,7 +355,7 @@ fn warm_cache(config: &LoadConfig) -> Result<(), String> {
 
 /// Fetches `/metrics` as plain text.
 fn scrape_metrics(addr: &str) -> Result<String, String> {
-    let response = one_shot(addr, "GET", "/metrics", b"")
+    let response = request(addr, "GET", "/metrics", b"")
         .map_err(|e| format!("metrics scrape failed: {e}"))?;
     Ok(response.text())
 }
@@ -405,30 +381,22 @@ fn idle_holder(
 ) {
     let mut held = Vec::with_capacity(share);
     for _ in 0..share {
-        let Ok(mut stream) = TcpStream::connect(addr) else { continue };
+        let Ok(mut client) = Client::connect(addr, CLIENT_TIMEOUT) else { continue };
         tallies.opened.fetch_add(1, Ordering::Relaxed);
-        if stream.set_read_timeout(Some(Duration::from_secs(10))).is_err() {
-            continue;
-        }
-        if write_request(&mut stream, "GET", "/healthz", b"", true).is_err() {
-            continue;
-        }
-        let mut reader = BufReader::new(stream);
-        if let Ok(response) = read_response(&mut reader, 1 << 20) {
-            if response.status == 200 {
-                tallies.ok.fetch_add(1, Ordering::Relaxed);
-                held.push(reader.into_inner());
-            }
+        if matches!(client.roundtrip("GET", "/healthz", b""), Ok(response) if response.status == 200) {
+            tallies.ok.fetch_add(1, Ordering::Relaxed);
+            held.push(client);
         }
     }
     let remaining = deadline.saturating_duration_since(Instant::now());
     std::thread::sleep(remaining);
-    for stream in held {
+    for client in held {
+        let mut stream = client.stream();
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
         let mut probe = [0u8; 8];
-        let open = match (&stream).read(&mut probe) {
+        let open = match stream.read(&mut probe) {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => true,
             // EOF or any data (server must not have sent anything
             // unsolicited) or error: the server let go of us.
@@ -512,30 +480,21 @@ const HOT_PIPELINE: usize = 16;
 /// Closed-loop pipelined hot-cache client: `HOT_PIPELINE` requests per
 /// write, read back the same number of responses.
 fn hot_client(addr: &str, body: &[u8], deadline: Instant, tallies: &Tallies, stop: &AtomicBool) {
-    let Ok(mut stream) = TcpStream::connect(addr) else { return };
+    let Ok(mut client) = Client::connect(addr, CLIENT_TIMEOUT) else { return };
     tallies.opened.fetch_add(1, Ordering::Relaxed);
-    if stream.set_read_timeout(Some(Duration::from_secs(10))).is_err() {
-        return;
+    let mut batch = Vec::new();
+    for _ in 0..HOT_PIPELINE {
+        if write_request(&mut batch, "POST", "/convert", body, true).is_err() {
+            return;
+        }
     }
-    let one = {
-        let head = format!(
-            "POST /convert HTTP/1.1\r\nhost: load\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
-            body.len()
-        );
-        let mut message = head.into_bytes();
-        message.extend_from_slice(body);
-        message
-    };
-    let batch: Vec<u8> = one.repeat(HOT_PIPELINE);
-    let Ok(reader_stream) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(reader_stream);
     while Instant::now() < deadline && !stop.load(Ordering::Relaxed) {
         let started = Instant::now();
-        if stream.write_all(&batch).is_err() {
+        if client.send_raw(&batch).is_err() {
             return;
         }
         for _ in 0..HOT_PIPELINE {
-            match read_response(&mut reader, 64 << 20) {
+            match client.recv() {
                 Ok(response) if response.status == 200 => {
                     tallies.hot.fetch_add(1, Ordering::Relaxed);
                     tallies.ok.fetch_add(1, Ordering::Relaxed);
@@ -563,22 +522,14 @@ fn cold_client(
     tallies: &Tallies,
     counter: &AtomicU64,
 ) {
-    let Ok(mut stream) = TcpStream::connect(addr) else { return };
+    let Ok(mut client) = Client::connect(addr, CLIENT_TIMEOUT) else { return };
     tallies.opened.fetch_add(1, Ordering::Relaxed);
-    if stream.set_read_timeout(Some(Duration::from_secs(10))).is_err() {
-        return;
-    }
-    let Ok(reader_stream) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(reader_stream);
     while Instant::now() < deadline {
         let n = counter.fetch_add(1, Ordering::Relaxed);
         let mut body = template.to_vec();
         body.extend_from_slice(format!("\n<!-- cold {n} -->").as_bytes());
         let started = Instant::now();
-        if write_request(&mut stream, "POST", "/convert", &body, true).is_err() {
-            return;
-        }
-        match read_response(&mut reader, 64 << 20) {
+        match client.roundtrip("POST", "/convert", &body) {
             Ok(response) if response.status == 200 => {
                 tallies.cold.fetch_add(1, Ordering::Relaxed);
                 tallies.ok.fetch_add(1, Ordering::Relaxed);
@@ -606,37 +557,22 @@ fn burst_client(
     tallies: &Tallies,
     counter: &AtomicU64,
 ) {
-    let mut streams = Vec::new();
+    let mut clients = Vec::new();
     for _ in 0..conns {
-        let Ok(stream) = TcpStream::connect(addr) else { continue };
+        let Ok(client) = Client::connect(addr, CLIENT_TIMEOUT) else { continue };
         tallies.opened.fetch_add(1, Ordering::Relaxed);
-        if stream.set_read_timeout(Some(Duration::from_secs(10))).is_err() {
-            continue;
-        }
-        let Ok(reader_stream) = stream.try_clone() else { continue };
-        streams.push((stream, BufReader::new(reader_stream)));
+        clients.push(client);
     }
-    while Instant::now() < deadline && !streams.is_empty() {
+    while Instant::now() < deadline && !clients.is_empty() {
         let mut dead = Vec::new();
-        for (i, (stream, reader)) in streams.iter_mut().enumerate() {
-            let mut batch = Vec::new();
-            for _ in 0..BURST_DEPTH {
-                let n = counter.fetch_add(1, Ordering::Relaxed);
-                let mut body = template.to_vec();
-                body.extend_from_slice(format!("\n<!-- burst {n} -->").as_bytes());
-                let head = format!(
-                    "POST /convert HTTP/1.1\r\nhost: load\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
-                    body.len()
-                );
-                batch.extend_from_slice(head.as_bytes());
-                batch.extend_from_slice(&body);
-            }
-            if stream.write_all(&batch).is_err() {
+        for (i, client) in clients.iter_mut().enumerate() {
+            let sent = burst_batch(template, counter).and_then(|batch| client.send_raw(&batch));
+            if sent.is_err() {
                 dead.push(i);
                 continue;
             }
             for _ in 0..BURST_DEPTH {
-                match read_response(reader, 64 << 20) {
+                match client.recv() {
                     Ok(response) if response.status == 200 => {
                         tallies.cold.fetch_add(1, Ordering::Relaxed);
                         tallies.ok.fetch_add(1, Ordering::Relaxed);
@@ -652,27 +588,31 @@ fn burst_client(
             }
         }
         for i in dead.into_iter().rev() {
-            streams.remove(i);
+            clients.remove(i);
         }
     }
+}
+
+/// `BURST_DEPTH` pipelined `/convert` requests, each body unique.
+fn burst_batch(template: &[u8], counter: &AtomicU64) -> io::Result<Vec<u8>> {
+    let mut batch = Vec::new();
+    for _ in 0..BURST_DEPTH {
+        let n = counter.fetch_add(1, Ordering::Relaxed);
+        let mut body = template.to_vec();
+        body.extend_from_slice(format!("\n<!-- burst {n} -->").as_bytes());
+        write_request(&mut batch, "POST", "/convert", &body, true)?;
+    }
+    Ok(batch)
 }
 
 /// Sequential `GET /healthz` prober; its p99 is the headline liveness
 /// number for the event loop.
 fn healthz_client(addr: &str, deadline: Instant, tallies: &Tallies) {
-    let Ok(mut stream) = TcpStream::connect(addr) else { return };
+    let Ok(mut client) = Client::connect(addr, CLIENT_TIMEOUT) else { return };
     tallies.opened.fetch_add(1, Ordering::Relaxed);
-    if stream.set_read_timeout(Some(Duration::from_secs(10))).is_err() {
-        return;
-    }
-    let Ok(reader_stream) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(reader_stream);
     while Instant::now() < deadline {
         let started = Instant::now();
-        if write_request(&mut stream, "GET", "/healthz", b"", true).is_err() {
-            return;
-        }
-        match read_response(&mut reader, 1 << 20) {
+        match client.roundtrip("GET", "/healthz", b"") {
             Ok(response) if response.status == 200 => {
                 let us = started.elapsed().as_micros() as u64;
                 tallies.ok.fetch_add(1, Ordering::Relaxed);
@@ -687,25 +627,20 @@ fn healthz_client(addr: &str, deadline: Instant, tallies: &Tallies) {
 /// Declares a body one byte over the limit and starts uploading it
 /// slowly; a correct server answers 413 from the headers alone.
 fn oversized_probe(addr: &str, max_body: usize, tallies: &Tallies) -> bool {
-    let Ok(mut stream) = TcpStream::connect(addr) else { return false };
+    let Ok(mut client) = Client::connect(addr, Duration::from_secs(5)) else { return false };
     tallies.opened.fetch_add(1, Ordering::Relaxed);
-    if stream.set_read_timeout(Some(Duration::from_secs(5))).is_err() {
+    let body = vec![b'x'; max_body + 1];
+    let mut wire = Vec::new();
+    if write_request(&mut wire, "POST", "/convert", &body, true).is_err() {
         return false;
     }
-    let head = format!(
-        "POST /convert HTTP/1.1\r\nhost: load\r\ncontent-length: {}\r\n\r\n",
-        max_body + 1
-    );
-    if stream.write_all(head.as_bytes()).is_err() {
+    // The head plus a token first chunk — far less than the declared
+    // length. The 413 must arrive without the server waiting for the rest.
+    let sent = wire.len() - body.len() + 1024;
+    if client.send_raw(&wire[..sent]).is_err() {
         return false;
     }
-    // A token first chunk — far less than the declared length. The 413
-    // must arrive without the server waiting for the rest.
-    if stream.write_all(&[b'x'; 1024]).is_err() {
-        return false;
-    }
-    let mut reader = BufReader::new(stream);
-    matches!(read_response(&mut reader, 1 << 20), Ok(response) if response.status == 413)
+    matches!(client.recv(), Ok(response) if response.status == 413)
 }
 
 /// Sends half a request head and hangs up.

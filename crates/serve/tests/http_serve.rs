@@ -1,13 +1,12 @@
-//! End-to-end tests over real TCP: a server on an ephemeral port, raw
-//! `TcpStream` clients speaking the substrate codec.
+//! End-to-end tests over real TCP: a server on an ephemeral port, the
+//! substrate's HTTP client on the other end.
 
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use webre_serve::server::{ServeConfig, Server};
 use webre_serve::Engine;
-use webre_substrate::http::{read_response, write_request, ParsedResponse};
+use webre_substrate::http::{self, Client, ParsedResponse};
 
 const RESUME: &str =
     "<h2>Education</h2><ul><li>Stanford University, M.S., 1996</li>\
@@ -28,12 +27,11 @@ fn ephemeral(workers: usize, queue_cap: usize) -> ServeConfig {
 
 /// One request on a fresh connection; `connection: close`.
 fn roundtrip(addr: SocketAddr, method: &str, target: &str, body: &[u8]) -> ParsedResponse {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write_request(&mut stream, method, target, body, false).expect("send");
-    read_response(&mut BufReader::new(stream), 16 * 1024 * 1024).expect("response")
+    http::request(addr, method, target, body).expect("response")
+}
+
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect(addr, Duration::from_secs(30)).expect("connect")
 }
 
 /// Spins until `predicate` holds or panics after 5s.
@@ -76,19 +74,13 @@ fn keep_alive_carries_multiple_requests() {
     let server = start(ephemeral(1, 16));
     let addr = server.local_addr();
 
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
+    let mut client = connect(addr);
     for _ in 0..3 {
-        write_request(&mut writer, "GET", "/healthz", b"", true).unwrap();
-        let response = read_response(&mut reader, 1024).unwrap();
+        let response = client.roundtrip("GET", "/healthz", b"").unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.text(), "ok\n");
     }
-    drop((writer, reader));
+    drop(client);
 
     server.request_drain();
     server.join();
@@ -161,23 +153,17 @@ fn queue_overflow_rejects_with_429_and_recovers() {
     let app = server.app();
 
     // A: a large cold conversion the sole worker picks up.
-    let mut parked = TcpStream::connect(addr).unwrap();
-    parked
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write_request(&mut parked, "POST", "/convert", &parking_body(), false).unwrap();
+    let mut parked = connect(addr);
+    parked.send("POST", "/convert", &parking_body()).unwrap();
     wait_until("worker to pick up the slow conversion", || {
         app.metrics.in_flight.load(Ordering::Relaxed) == 1
             && app.metrics.queue_depth.load(Ordering::Relaxed) == 0
     });
 
     // B: a second cold conversion, sits in the queue's only slot.
-    let mut queued = TcpStream::connect(addr).unwrap();
-    queued
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut queued = connect(addr);
     let queued_body = format!("{RESUME}<!-- queued -->");
-    write_request(&mut queued, "POST", "/convert", queued_body.as_bytes(), false).unwrap();
+    queued.send("POST", "/convert", queued_body.as_bytes()).unwrap();
     wait_until("second conversion to occupy the queue", || {
         app.metrics.queue_depth.load(Ordering::Relaxed) == 1
     });
@@ -192,10 +178,8 @@ fn queue_overflow_rejects_with_429_and_recovers() {
     assert_eq!(app.metrics.rejected.load(Ordering::Relaxed), 1);
 
     // The worker frees itself; both accepted conversions complete.
-    let response = read_response(&mut BufReader::new(parked), 64 * 1024 * 1024).unwrap();
-    assert_eq!(response.status, 200);
-    let response = read_response(&mut BufReader::new(queued), 64 * 1024 * 1024).unwrap();
-    assert_eq!(response.status, 200);
+    assert_eq!(parked.recv().unwrap().status, 200);
+    assert_eq!(queued.recv().unwrap().status, 200);
 
     server.request_drain();
     server.join();
@@ -209,20 +193,14 @@ fn shutdown_endpoint_drains_queued_work_before_exit() {
 
     // Park the sole worker on a slow conversion, then queue a second
     // request behind it.
-    let mut parked = TcpStream::connect(addr).unwrap();
-    parked
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write_request(&mut parked, "POST", "/convert", &parking_body(), false).unwrap();
+    let mut parked = connect(addr);
+    parked.send("POST", "/convert", &parking_body()).unwrap();
     wait_until("worker pickup", || {
         app.metrics.in_flight.load(Ordering::Relaxed) == 1
             && app.metrics.queue_depth.load(Ordering::Relaxed) == 0
     });
-    let mut queued = TcpStream::connect(addr).unwrap();
-    queued
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write_request(&mut queued, "POST", "/convert", RESUME.as_bytes(), true).unwrap();
+    let mut queued = connect(addr);
+    queued.send("POST", "/convert", RESUME.as_bytes()).unwrap();
     wait_until("request queued", || {
         app.metrics.queue_depth.load(Ordering::Relaxed) == 1
     });
@@ -232,12 +210,10 @@ fn shutdown_endpoint_drains_queued_work_before_exit() {
 
     // The queued request is served — and the response closes the
     // connection despite the client asking for keep-alive.
-    let mut reader = BufReader::new(queued);
-    let response = read_response(&mut reader, 16 * 1024 * 1024).unwrap();
+    let response = queued.recv().unwrap();
     assert_eq!(response.status, 200);
     assert_eq!(response.header("connection"), Some("close"));
-    let response = read_response(&mut BufReader::new(parked), 64 * 1024 * 1024).unwrap();
-    assert_eq!(response.status, 200);
+    assert_eq!(parked.recv().unwrap().status, 200);
 
     server.join(); // event loop + workers all exited
     assert_eq!(app.metrics.total_requests(), 2);

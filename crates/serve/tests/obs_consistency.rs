@@ -10,8 +10,7 @@
 //! precisely those requests, and the in-flight `/metrics` request that
 //! reads them appears in neither (spans tally at span *end*).
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 use webre_obs::clock::MonotonicClock;
@@ -20,7 +19,7 @@ use webre_obs::{stage, Ctx};
 use webre_serve::obs::ObsLayer;
 use webre_serve::server::{ServeConfig, Server};
 use webre_serve::Engine;
-use webre_substrate::http::{read_response, write_request, ParsedResponse};
+use webre_substrate::http::{request, Client, ParsedResponse};
 
 const RESUME: &str =
     "<h2>Education</h2><ul><li>Stanford University, M.S., 1996</li></ul>\
@@ -36,12 +35,7 @@ fn ephemeral(workers: usize) -> ServeConfig {
 }
 
 fn roundtrip(addr: SocketAddr, method: &str, target: &str, body: &[u8]) -> ParsedResponse {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write_request(&mut stream, method, target, body, false).expect("send");
-    read_response(&mut BufReader::new(stream), 16 * 1024 * 1024).expect("response")
+    request(addr, method, target, body).expect("response")
 }
 
 /// Sums every `requests_total{endpoint="..."} N` line.
@@ -73,12 +67,7 @@ fn request_span_tally_equals_request_counter_after_keepalive_workload() {
     let handles: Vec<_> = (0..clients)
         .map(|c| {
             std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(10)))
-                    .unwrap();
-                let mut writer = stream.try_clone().unwrap();
-                let mut reader = BufReader::new(stream);
+                let mut client = Client::connect(addr, Duration::from_secs(10)).expect("connect");
                 for i in 0..per_client {
                     let (method, target, body): (&str, &str, &[u8]) = match (c + i) % 4 {
                         0 => ("POST", "/convert", RESUME.as_bytes()),
@@ -86,9 +75,7 @@ fn request_span_tally_equals_request_counter_after_keepalive_workload() {
                         2 => ("GET", "/schema", b""),
                         _ => ("GET", "/healthz", b""),
                     };
-                    write_request(&mut writer, method, target, body, true).expect("send");
-                    let response =
-                        read_response(&mut reader, 16 * 1024 * 1024).expect("response");
+                    let response = client.roundtrip(method, target, body).expect("response");
                     assert!(
                         response.status < 500,
                         "{method} {target}: {}",

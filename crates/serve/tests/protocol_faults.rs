@@ -4,14 +4,14 @@
 //! never a panic. Each test finishes by proving the server is still
 //! fully live (`requests_in_flight == 0` and a fresh `/healthz` works).
 
-use std::io::{BufReader, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use webre_serve::handlers::App;
 use webre_serve::server::{ServeConfig, Server};
 use webre_serve::Engine;
-use webre_substrate::http::read_response;
+use webre_substrate::http::{request, write_request, Client};
 
 const RESUME: &str =
     "<h2>Education</h2><ul><li>Stanford University, M.S., 1996</li>\
@@ -27,12 +27,23 @@ fn start() -> Server {
     Server::start(config, Engine::resume_domain()).expect("bind ephemeral port")
 }
 
+/// A raw socket, for faults that never complete a request.
 fn connect(addr: SocketAddr) -> TcpStream {
     let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     stream
+}
+
+fn client(addr: SocketAddr) -> Client {
+    Client::connect(addr, Duration::from_secs(10)).expect("connect")
+}
+
+/// Asserts the server closed the connection with nothing more to say.
+fn assert_closed(client: &mut Client) {
+    let error = client.recv().expect_err("no response after the last one");
+    assert_eq!(error.kind(), ErrorKind::UnexpectedEof, "{error}");
 }
 
 /// After any fault, the server must have zero requests in flight and
@@ -46,11 +57,7 @@ fn assert_fully_live(addr: SocketAddr, app: &App) {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    let mut probe = connect(addr);
-    probe
-        .write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
-        .unwrap();
-    let response = read_response(&mut BufReader::new(probe), 1024).expect("healthz after fault");
+    let response = request(addr, "GET", "/healthz", b"").expect("healthz after fault");
     assert_eq!(response.status, 200, "server unhealthy after the fault");
 }
 
@@ -64,20 +71,20 @@ fn byte_at_a_time_delivery_still_yields_a_complete_response() {
         RESUME.len(),
         RESUME
     );
-    let mut stream = connect(addr);
+    let mut client = client(addr);
     // One byte per write for the head, so the parser sees dozens of
     // partial states; the body goes in small chunks to keep the test
     // under a second.
     let (head, body) = request.split_at(request.find("\r\n\r\n").unwrap() + 4);
     for byte in head.as_bytes() {
-        stream.write_all(std::slice::from_ref(byte)).unwrap();
+        client.send_raw(std::slice::from_ref(byte)).unwrap();
         std::thread::sleep(Duration::from_micros(200));
     }
     for chunk in body.as_bytes().chunks(7) {
-        stream.write_all(chunk).unwrap();
+        client.send_raw(chunk).unwrap();
         std::thread::sleep(Duration::from_micros(200));
     }
-    let response = read_response(&mut BufReader::new(stream), 16 << 20).unwrap();
+    let response = client.recv().unwrap();
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(response.text(), Engine::resume_domain().convert_to_xml(RESUME).2);
 
@@ -91,7 +98,7 @@ fn headers_split_across_writes_parse_once_complete() {
     let server = start();
     let addr = server.local_addr();
 
-    let mut stream = connect(addr);
+    let mut client = client(addr);
     // Split in the middle of a header name, value, and the blank line.
     for part in [
         "GET /hea",
@@ -101,10 +108,10 @@ fn headers_split_across_writes_parse_once_complete() {
         "\r",
         "\n",
     ] {
-        stream.write_all(part.as_bytes()).unwrap();
+        client.send_raw(part.as_bytes()).unwrap();
         std::thread::sleep(Duration::from_millis(2));
     }
-    let response = read_response(&mut BufReader::new(stream), 1024).unwrap();
+    let response = client.recv().unwrap();
     assert_eq!(response.status, 200);
     assert_eq!(response.text(), "ok\n");
 
@@ -121,30 +128,21 @@ fn pipelined_requests_answer_in_order() {
     // Mixed fast-path (/healthz inline) and worker-path (cold convert)
     // requests in one write: responses must come back in request order.
     let mut batch = Vec::new();
-    batch.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
-    batch.extend_from_slice(
-        format!(
-            "POST /convert HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
-            RESUME.len(),
-            RESUME
-        )
-        .as_bytes(),
-    );
-    batch.extend_from_slice(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
+    write_request(&mut batch, "GET", "/healthz", b"", true).unwrap();
+    write_request(&mut batch, "POST", "/convert", RESUME.as_bytes(), true).unwrap();
+    write_request(&mut batch, "GET", "/healthz", b"", false).unwrap();
 
-    let mut stream = connect(addr);
-    stream.write_all(&batch).unwrap();
-    let mut reader = BufReader::new(stream);
-    let first = read_response(&mut reader, 16 << 20).unwrap();
+    let mut client = client(addr);
+    client.send_raw(&batch).unwrap();
+    let first = client.recv().unwrap();
     assert_eq!((first.status, first.text().as_str()), (200, "ok\n"));
-    let second = read_response(&mut reader, 16 << 20).unwrap();
+    let second = client.recv().unwrap();
     assert_eq!(second.status, 200);
     assert_eq!(second.header("content-type"), Some("application/xml"));
-    let third = read_response(&mut reader, 16 << 20).unwrap();
+    let third = client.recv().unwrap();
     assert_eq!((third.status, third.text().as_str()), (200, "ok\n"));
     // The final `connection: close` is honoured.
-    let mut rest = Vec::new();
-    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0);
+    assert_closed(&mut client);
 
     assert_fully_live(addr, &server.app());
     server.request_drain();
@@ -156,20 +154,18 @@ fn oversized_head_answers_413_and_closes() {
     let server = start();
     let addr = server.local_addr();
 
-    let mut stream = connect(addr);
-    stream.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+    let mut client = client(addr);
+    client.send_raw(b"GET /healthz HTTP/1.1\r\n").unwrap();
     // Pour header bytes past the 16 KiB head cap without ever
     // finishing the head.
     let filler = format!("x-padding: {}\r\n", "p".repeat(250));
     for _ in 0..80 {
-        if stream.write_all(filler.as_bytes()).is_err() {
+        if client.send_raw(filler.as_bytes()).is_err() {
             break; // the server already slammed the door — fine
         }
     }
-    let response = read_response(&mut BufReader::new(&mut stream), 1024).unwrap();
+    let response = client.recv().unwrap();
     assert_eq!(response.status, 413, "{}", response.text());
-    let mut rest = Vec::new();
-    let _ = stream.read_to_end(&mut rest); // connection is closed after the error
 
     assert_fully_live(addr, &server.app());
     server.request_drain();
@@ -181,19 +177,17 @@ fn body_longer_than_content_length_gets_400_for_the_trailing_garbage() {
     let server = start();
     let addr = server.local_addr();
 
-    let mut stream = connect(addr);
+    let mut client = client(addr);
     // content-length covers only "hello"; the rest must be parsed as
     // the start of a next request, which it is not.
-    stream
-        .write_all(b"POST /convert HTTP/1.1\r\ncontent-length: 5\r\n\r\nhelloTRAILING GARBAGE\r\n\r\n")
+    client
+        .send_raw(b"POST /convert HTTP/1.1\r\ncontent-length: 5\r\n\r\nhelloTRAILING GARBAGE\r\n\r\n")
         .unwrap();
-    let mut reader = BufReader::new(stream);
-    let first = read_response(&mut reader, 16 << 20).unwrap();
+    let first = client.recv().unwrap();
     assert_eq!(first.status, 200, "{}", first.text());
-    let second = read_response(&mut reader, 1024).unwrap();
+    let second = client.recv().unwrap();
     assert_eq!(second.status, 400, "{}", second.text());
-    let mut rest = Vec::new();
-    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "closed after 400");
+    assert_closed(&mut client);
 
     assert_fully_live(addr, &server.app());
     server.request_drain();

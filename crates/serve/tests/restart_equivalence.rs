@@ -3,21 +3,14 @@
 //! endpoints must answer byte-identically — the WAL replay rebuilt the
 //! exact live corpus, shard layout included.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::Duration;
 use webre_serve::server::{ServeConfig, Server};
 use webre_serve::Engine;
-use webre_substrate::http::{read_response, write_request, ParsedResponse};
+use webre_substrate::http::{request, ParsedResponse};
 
 fn roundtrip(addr: SocketAddr, method: &str, target: &str, body: &[u8]) -> ParsedResponse {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write_request(&mut stream, method, target, body, false).expect("send");
-    read_response(&mut BufReader::new(stream), 16 * 1024 * 1024).expect("response")
+    request(addr, method, target, body).expect("response")
 }
 
 fn durable_config(dir: &PathBuf) -> ServeConfig {

@@ -20,11 +20,12 @@
 //! * [`sync`] — a bounded MPMC channel (mutex + condvar) with
 //!   non-blocking `try_send`, the backpressure primitive under the
 //!   `webre-serve` job queue, replacing `crossbeam-channel`;
-//! * [`http`] — a minimal HTTP/1.1 request/response codec (no chunked
-//!   encoding, no TLS) for the serving subsystem and its in-process test
-//!   clients, replacing `httparse`/`hyper`-class dependencies — including
-//!   an incremental [`http::RequestParser`] that the readiness-driven
-//!   serve core feeds byte ranges as they arrive;
+//! * [`http`] — a minimal HTTP/1.1 codec (no chunked encoding, no TLS),
+//!   replacing `httparse`/`hyper`-class dependencies: an incremental
+//!   [`http::RequestParser`] that the readiness-driven serve core feeds
+//!   byte ranges as they arrive, its client-side mirror
+//!   [`http::ResponseParser`], and [`http::Client`], the one blocking
+//!   client every well-formed exchange in the workspace goes through;
 //! * [`poll`] — a readiness-polling abstraction (level-triggered `epoll`
 //!   on Linux via direct syscalls, a portable sweep fallback elsewhere)
 //!   that multiplexes thousands of non-blocking sockets on one thread,

@@ -14,24 +14,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Resolve to an absolute path: bench binaries run with the bench crate's
-# directory as CWD, so a relative path would land inside crates/bench/.
-out="${WEBRE_BENCH_OUT:-$PWD/BENCH_pipeline.json}"
-case "$out" in
-    /*) ;;
-    *) out="$PWD/$out" ;;
-esac
+# Prints an output path as an absolute path: bench binaries run with the
+# bench crate's directory as CWD, so a relative path would land inside
+# crates/bench/.
+absolute() {
+    case "$1" in
+        /*) printf '%s\n' "$1" ;;
+        *) printf '%s\n' "$PWD/$1" ;;
+    esac
+}
+
+out="$(absolute "${WEBRE_BENCH_OUT:-$PWD/BENCH_pipeline.json}")"
 : > "$out"
 WEBRE_BENCH_OUT="$out" cargo bench -p webre-bench "$@"
 echo "==> $(wc -l <"$out") benchmark record(s) in $out"
 
 # Serving throughput: a live webre-serve instance hammered over TCP by
 # concurrent keep-alive clients; writes one JSON record per scenario.
-serve_out="${WEBRE_BENCH_SERVE_OUT:-$PWD/BENCH_serve.json}"
-case "$serve_out" in
-    /*) ;;
-    *) serve_out="$PWD/$serve_out" ;;
-esac
+serve_out="$(absolute "${WEBRE_BENCH_SERVE_OUT:-$PWD/BENCH_serve.json}")"
 WEBRE_BENCH_SERVE_OUT="$serve_out" cargo run --release -p webre-bench --bin serve_throughput
 echo "==> serve benchmark record(s) in $serve_out"
 
@@ -54,11 +54,7 @@ echo "==> load soak record appended to $serve_out"
 # Mapping throughput: the tiered planner over a mixed synthetic corpus
 # at growing sizes, filter on vs off; one JSON record per scale with the
 # measured speedup (the regression guard holds the 100x floor).
-map_out="${WEBRE_BENCH_MAP_OUT:-$PWD/BENCH_map.json}"
-case "$map_out" in
-    /*) ;;
-    *) map_out="$PWD/$map_out" ;;
-esac
+map_out="$(absolute "${WEBRE_BENCH_MAP_OUT:-$PWD/BENCH_map.json}")"
 WEBRE_BENCH_MAP_OUT="$map_out" cargo run --release -p webre-bench --bin map_throughput
 echo "==> map benchmark record(s) in $map_out"
 
@@ -66,22 +62,14 @@ echo "==> map benchmark record(s) in $map_out"
 # own sources, all nine rules; one JSON record with the median wall
 # time, files/s and the finding count (which must be zero — the same
 # invariant verify.sh gates on).
-lint_out="${WEBRE_BENCH_LINT_OUT:-$PWD/BENCH_lint.json}"
-case "$lint_out" in
-    /*) ;;
-    *) lint_out="$PWD/$lint_out" ;;
-esac
+lint_out="$(absolute "${WEBRE_BENCH_LINT_OUT:-$PWD/BENCH_lint.json}")"
 WEBRE_BENCH_LINT_OUT="$lint_out" cargo run --release -p webre-bench --bin lint_throughput
 echo "==> lint benchmark record(s) in $lint_out"
 
 # Observability overhead: full pipeline runs with tracing disabled vs the
 # stats recorder vs the full trace recorder; the summary record holds the
 # overhead percentages against the <3% target.
-obs_out="${WEBRE_BENCH_OBS_OUT:-$PWD/BENCH_obs.json}"
-case "$obs_out" in
-    /*) ;;
-    *) obs_out="$PWD/$obs_out" ;;
-esac
+obs_out="$(absolute "${WEBRE_BENCH_OBS_OUT:-$PWD/BENCH_obs.json}")"
 WEBRE_BENCH_OBS_OUT="$obs_out" cargo run --release -p webre-bench --bin obs_overhead
 echo "==> observability benchmark record(s) in $obs_out"
 
@@ -90,11 +78,7 @@ echo "==> observability benchmark record(s) in $obs_out"
 # router with checkpointed merged ≡ batch verification, and reports
 # docs/s, time-to-fresh-schema and WAL replay time as one JSON record.
 # WEBRE_BENCH_SCALE_DOCS trims the stream for quick local runs.
-scale_out="${WEBRE_BENCH_SCALE_OUT:-$PWD/BENCH_scale.json}"
-case "$scale_out" in
-    /*) ;;
-    *) scale_out="$PWD/$scale_out" ;;
-esac
+scale_out="$(absolute "${WEBRE_BENCH_SCALE_OUT:-$PWD/BENCH_scale.json}")"
 scale_docs="${WEBRE_BENCH_SCALE_DOCS:-1000000}"
 scale_dir=$(mktemp -d)
 cargo build --release -q -p webre
@@ -107,11 +91,7 @@ echo "==> scale benchmark record(s) in $scale_out"
 # /convert rps — to an append-only dated history, so trend lines across
 # runs survive the snapshot files being rewritten from scratch. Unlike
 # the snapshots this file is never truncated.
-history="${WEBRE_BENCH_HISTORY:-$PWD/BENCH_history.jsonl}"
-case "$history" in
-    /*) ;;
-    *) history="$PWD/$history" ;;
-esac
+history="$(absolute "${WEBRE_BENCH_HISTORY:-$PWD/BENCH_history.jsonl}")"
 stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 {
     grep '"bench":"convert/' "$out" || true
