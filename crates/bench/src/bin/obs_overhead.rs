@@ -2,11 +2,12 @@
 //! timed with tracing disabled, with the stats recorder, and with the
 //! full trace recorder, over the same synthetic corpus.
 //!
-//! The disabled path is the claim under test: a `Ctx::disabled()` context
-//! short-circuits every span and counter call on a single `enabled()`
-//! check, so "recorder off" must be indistinguishable from not having the
-//! instrumentation at all, and "recorder on" should stay within a few
-//! percent (<3% target for stats — the always-on serving configuration).
+//! The disabled path is the claim under test: with no context installed,
+//! every span and counter call is one thread-local read that finds
+//! nothing, so "off" prices the instrumentation a batch run carries, and
+//! "recorder on" (installed with `webre_obs::scoped`) should stay within
+//! a few percent (<3% target for stats — the always-on serving
+//! configuration).
 //!
 //! Results go to stdout as a table and to `BENCH_obs.json` (override with
 //! `WEBRE_BENCH_OBS_OUT`) as JSON lines, one record per mode plus one
@@ -19,7 +20,7 @@ use std::time::Instant;
 use webre::obs::clock::MonotonicClock;
 use webre::obs::stats::StatsRecorder;
 use webre::obs::trace::TraceRecorder;
-use webre::obs::Ctx;
+use webre::obs::{scoped, Ctx};
 use webre::Pipeline;
 use webre_corpus::CorpusGenerator;
 
@@ -37,8 +38,8 @@ fn percentile(sorted_ns: &[u64], p: f64) -> u64 {
     sorted_ns[idx]
 }
 
-/// Times `rounds` full-pipeline runs, building a fresh recorder per round
-/// via `make_ctx` so trace rounds do not accumulate spans across rounds.
+/// Times `rounds` full-pipeline runs; each `run_round` builds a fresh
+/// recorder, so trace rounds do not accumulate spans across rounds.
 fn run_mode(
     name: &'static str,
     pipeline: &Pipeline,
@@ -92,15 +93,15 @@ fn main() {
 
     let modes: [(&'static str, &dyn Fn(&Pipeline, &[String])); 3] = [
         ("off", &|p, h| {
-            p.run_obs(h, Ctx::disabled()).expect("pipeline runs");
+            p.run(h).expect("pipeline runs");
         }),
         ("stats", &|p, h| {
             let recorder = StatsRecorder::new(Box::new(MonotonicClock::new()));
-            p.run_obs(h, Ctx::new(&recorder)).expect("pipeline runs");
+            scoped(Ctx::new(&recorder), || p.run(h)).expect("pipeline runs");
         }),
         ("trace", &|p, h| {
             let recorder = TraceRecorder::new(Box::new(MonotonicClock::new()));
-            p.run_obs(h, Ctx::new(&recorder)).expect("pipeline runs");
+            scoped(Ctx::new(&recorder), || p.run(h)).expect("pipeline runs");
         }),
     ];
 

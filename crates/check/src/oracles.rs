@@ -719,8 +719,7 @@ pub fn serve_vs_batch(rng: &mut StdRng) -> Result<(), String> {
 pub fn trace_noop(rng: &mut StdRng) -> Result<(), String> {
     use webre_obs::clock::FakeClock;
     use webre_obs::trace::TraceRecorder;
-    use webre_obs::{counter, stage, Ctx};
-    use webre_schema::derive_dtd_obs;
+    use webre_obs::{counter, scoped, stage, Ctx};
 
     let converter = Converter::new(webre_concepts::resume::concepts());
     let n = rng.gen_range(1..=6usize);
@@ -733,7 +732,7 @@ pub fn trace_noop(rng: &mut StdRng) -> Result<(), String> {
     let mut docs = Vec::with_capacity(n);
     for (i, html) in htmls.iter().enumerate() {
         let (plain_doc, plain_stats) = converter.convert_str(html);
-        let (traced_doc, traced_stats) = converter.convert_str_obs(html, ctx);
+        let (traced_doc, traced_stats) = scoped(ctx, || converter.convert_str(html));
         let (plain_xml, traced_xml) =
             (webre_xml::to_xml(&plain_doc), webre_xml::to_xml(&traced_doc));
         if plain_xml != traced_xml {
@@ -760,7 +759,7 @@ pub fn trace_noop(rng: &mut StdRng) -> Result<(), String> {
         ..FrequentPathMiner::default()
     };
     let plain = miner.mine(&paths);
-    let traced = miner.mine_view_obs(paths.as_slice(), ctx);
+    let traced = scoped(ctx, || miner.mine_view(paths.as_slice()));
     let context = || {
         let inputs: Vec<String> = htmls.iter().map(|h| snippet(h)).collect();
         format!("corpus: {}", inputs.join(" | "))
@@ -791,7 +790,8 @@ pub fn trace_noop(rng: &mut StdRng) -> Result<(), String> {
             }
             let config = webre_schema::DtdConfig::default();
             let plain_dtd = webre_schema::derive_dtd(&p.schema, &paths, &config).to_dtd_string();
-            let traced_dtd = derive_dtd_obs(&t.schema, &paths, &config, ctx).to_dtd_string();
+            let traced_dtd = scoped(ctx, || webre_schema::derive_dtd(&t.schema, &paths, &config))
+                .to_dtd_string();
             if plain_dtd != traced_dtd {
                 return Err(format!(
                     "DTD diverges under tracing\n  {}\n  untraced: {}\n  traced:   {}",

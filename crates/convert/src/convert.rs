@@ -2,10 +2,10 @@
 //! [`Converter`] that wires the four restructuring rules together.
 
 use crate::node::{finalize, ingest_owned};
-use crate::structure_rules::grouping_rule_obs;
-use crate::text_rules::{concept_instance_rule_obs, tokenization_rule_obs};
+use crate::structure_rules::{consolidation_rule_with, grouping_rule};
+use crate::text_rules::{concept_instance_rule, tokenization_rule};
 use webre_concepts::{ConceptMatcher, ConceptSet, ConstraintSet};
-use webre_obs::{stage, Ctx};
+use webre_obs::{scoped, span, stage, with_current};
 use webre_html::HtmlDocument;
 use webre_text::tokenize::Delimiters;
 use webre_text::BayesClassifier;
@@ -186,87 +186,53 @@ impl Converter {
 
     /// Converts one parsed HTML document, returning the XML document and
     /// the conversion statistics.
-    pub fn convert(&self, html: &HtmlDocument) -> (XmlDocument, ConvertStats) {
-        self.convert_obs(html, Ctx::disabled())
-    }
-
-    /// [`Converter::convert`] with observability; see
-    /// [`Converter::convert_owned_obs`] for the span structure.
     ///
     /// Borrows the input, so the document is cloned before the (mutating)
     /// tidy pass. Callers that can give up the document should prefer
-    /// [`Converter::convert_owned_obs`] — the clone duplicated every
+    /// [`Converter::convert_owned`] — the clone duplicated every
     /// element's attribute vector on each conversion, which is exactly the
     /// overhead the owned path removes.
-    pub fn convert_obs(&self, html: &HtmlDocument, ctx: Ctx<'_>) -> (XmlDocument, ConvertStats) {
-        self.convert_owned_obs(html.clone(), ctx)
+    pub fn convert(&self, html: &HtmlDocument) -> (XmlDocument, ConvertStats) {
+        self.convert_owned(html.clone())
     }
 
     /// Converts one parsed HTML document, consuming it: names and text
     /// move into the conversion arena instead of being copied.
-    pub fn convert_owned(&self, html: HtmlDocument) -> (XmlDocument, ConvertStats) {
-        self.convert_owned_obs(html, Ctx::disabled())
-    }
-
-    /// [`Converter::convert_owned`] with observability: the conversion
-    /// runs under a `convert` span with one child span per pipeline stage
-    /// (tidy plus the four restructuring rules), and the rules feed
-    /// their firing counters. Output is byte-identical to the
-    /// uninstrumented path — the `trace-noop` oracle in `webre-check`
+    ///
+    /// The conversion runs under a `convert` span with one child span per
+    /// pipeline stage (tidy plus the four restructuring rules), and the
+    /// rules feed their firing counters. Output is byte-identical whether
+    /// or not anything records — the `trace-noop` oracle in `webre-check`
     /// holds this over fuzzed corpora.
-    pub fn convert_owned_obs(
-        &self,
-        mut html: HtmlDocument,
-        ctx: Ctx<'_>,
-    ) -> (XmlDocument, ConvertStats) {
-        let scope = ctx.span(stage::CONVERT);
-        let ctx = scope.ctx();
-        if self.config.tidy {
-            let _tidy = ctx.span(stage::TIDY);
-            webre_html::tidy(&mut html);
-        }
-        let mut conv = ingest_owned(html);
-        let mut stats = ConvertStats::default();
-        {
-            let rule = ctx.span(stage::TOKENIZATION);
-            tokenization_rule_obs(&mut conv, &self.config.delimiters, rule.ctx());
-        }
-        {
-            let rule = ctx.span(stage::CONCEPT_INSTANCE);
-            concept_instance_rule_obs(
+    pub fn convert_owned(&self, mut html: HtmlDocument) -> (XmlDocument, ConvertStats) {
+        span(stage::CONVERT, || {
+            if self.config.tidy {
+                span(stage::TIDY, || webre_html::tidy(&mut html));
+            }
+            let mut conv = ingest_owned(html);
+            let mut stats = ConvertStats::default();
+            tokenization_rule(&mut conv, &self.config.delimiters);
+            concept_instance_rule(
                 &mut conv,
                 &self.matcher,
                 &self.config.classifier,
                 self.config.constraints.as_ref(),
                 &mut stats,
-                rule.ctx(),
             );
-        }
-        if self.config.grouping {
-            let rule = ctx.span(stage::GROUPING);
-            grouping_rule_obs(&mut conv.tree, rule.ctx());
-        }
-        if self.config.consolidation {
-            let rule = ctx.span(stage::CONSOLIDATION);
-            crate::structure_rules::consolidation_rule_with_obs(
-                &mut conv.tree,
-                self.config.constraints.as_ref(),
-                rule.ctx(),
-            );
-        }
-        (finalize(&conv, &self.config.root_concept), stats)
+            if self.config.grouping {
+                grouping_rule(&mut conv.tree);
+            }
+            if self.config.consolidation {
+                consolidation_rule_with(&mut conv.tree, self.config.constraints.as_ref());
+            }
+            (finalize(&conv, &self.config.root_concept), stats)
+        })
     }
 
     /// Convenience: parse and convert HTML text. The parsed document is
     /// fed straight into the owned path — no clone.
     pub fn convert_str(&self, html: &str) -> (XmlDocument, ConvertStats) {
         self.convert_owned(webre_html::parse(html))
-    }
-
-    /// [`Converter::convert_str`] with observability; see
-    /// [`Converter::convert_owned_obs`].
-    pub fn convert_str_obs(&self, html: &str, ctx: Ctx<'_>) -> (XmlDocument, ConvertStats) {
-        self.convert_owned_obs(webre_html::parse(html), ctx)
     }
 
     /// Converts a corpus of HTML documents sequentially.
@@ -280,6 +246,8 @@ impl Converter {
     /// independent); results are returned in input order and are identical
     /// to [`Converter::convert_corpus`] — the `webre-check` differential
     /// oracle holds this equivalence over randomized tag-soup corpora.
+    /// Each worker records through the caller's context, so the
+    /// per-document `convert` spans nest under the caller's span.
     pub fn convert_corpus_parallel(&self, htmls: &[String], threads: usize) -> Vec<XmlDocument> {
         let threads = threads.max(1).min(htmls.len().max(1));
         if threads <= 1 || htmls.len() < 2 {
@@ -288,14 +256,18 @@ impl Converter {
         let mut results: Vec<Option<XmlDocument>> = Vec::new();
         results.resize_with(htmls.len(), || None);
         let chunk = htmls.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (inputs, outputs) in htmls.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (html, slot) in inputs.iter().zip(outputs.iter_mut()) {
-                        *slot = Some(self.convert_str(html).0);
-                    }
-                });
-            }
+        with_current(|ctx| {
+            std::thread::scope(|scope| {
+                for (inputs, outputs) in htmls.chunks(chunk).zip(results.chunks_mut(chunk)) {
+                    scope.spawn(move || {
+                        scoped(ctx, || {
+                            for (html, slot) in inputs.iter().zip(outputs.iter_mut()) {
+                                *slot = Some(self.convert_str(html).0);
+                            }
+                        })
+                    });
+                }
+            })
         });
         results
             .into_iter()
@@ -420,6 +392,35 @@ mod tests {
             total.tokens_unidentified,
             a.tokens_unidentified + b.tokens_unidentified
         );
+    }
+
+    #[test]
+    fn parallel_conversion_nests_under_the_callers_span() {
+        use webre_obs::clock::FakeClock;
+        use webre_obs::trace::TraceRecorder;
+        use webre_obs::Ctx;
+        let htmls: Vec<String> = (0..9)
+            .map(|i| {
+                format!(
+                    "<h2>Education</h2><ul><li>Stanford University, M.S., {}</li></ul>\
+                     <h2>Skills</h2><p>C++, Java, tool{i}</p>",
+                    1990 + i
+                )
+            })
+            .collect();
+        let c = converter();
+        let recorder = TraceRecorder::new(Box::new(FakeClock::new(1_000)));
+        let parallel = scoped(Ctx::new(&recorder), || {
+            span(stage::REQUEST, || c.convert_corpus_parallel(&htmls, 4))
+        });
+        let xml = |docs: &[XmlDocument]| docs.iter().map(to_xml).collect::<Vec<_>>();
+        assert_eq!(xml(&parallel), xml(&c.convert_corpus(&htmls)));
+        let spans = recorder.spans();
+        assert_eq!(spans[0].name, stage::REQUEST);
+        let converts: Vec<_> = spans.iter().filter(|s| s.name == stage::CONVERT).collect();
+        assert_eq!(converts.len(), htmls.len());
+        assert!(converts.iter().all(|s| s.parent == Some(0)), "{spans:?}");
+        assert!(spans.iter().all(|s| s.end_ns.is_some()));
     }
 
     #[test]

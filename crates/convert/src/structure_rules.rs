@@ -3,7 +3,7 @@
 use crate::node::ConvNode;
 use webre_concepts::{Constraint, ConstraintSet};
 use webre_html::taxonomy::Tag;
-use webre_obs::{counter, Ctx};
+use webre_obs::{count, counter, span, stage};
 use webre_tree::{NodeId, Tree};
 
 /// Applies the grouping rule top-down.
@@ -14,25 +14,24 @@ use webre_tree::{NodeId, Tree};
 /// child list) sink under a fresh `GROUP` node that becomes a child of
 /// `Nᵢ`. Because groups sink, group tags of lower priority are handled at
 /// the next lower level on the following top-down step.
+///
+/// Runs under a `grouping-rule` span; every `GROUP` node sunk feeds the
+/// `groups_sunk` counter.
 pub fn grouping_rule(tree: &mut Tree<ConvNode>) {
-    grouping_rule_obs(tree, Ctx::disabled());
-}
-
-/// [`grouping_rule`] with observability: every `GROUP` node sunk feeds
-/// the `groups_sunk` counter. The tree transformation is identical.
-pub fn grouping_rule_obs(tree: &mut Tree<ConvNode>, ctx: Ctx<'_>) {
-    // Worklist DFS: children may gain GROUP nodes while we walk, so we
-    // re-fetch child lists after processing each node.
-    let mut groups_sunk = 0u64;
-    let mut work = vec![tree.root()];
-    let mut children: Vec<NodeId> = Vec::new();
-    while let Some(node) = work.pop() {
-        groups_sunk += group_children(tree, node, &mut children);
-        work.extend(tree.children(node));
-    }
-    if groups_sunk > 0 {
-        ctx.count(counter::GROUPS_SUNK, groups_sunk);
-    }
+    span(stage::GROUPING, || {
+        // Worklist DFS: children may gain GROUP nodes while we walk, so
+        // we re-fetch child lists after processing each node.
+        let mut groups_sunk = 0u64;
+        let mut work = vec![tree.root()];
+        let mut children: Vec<NodeId> = Vec::new();
+        while let Some(node) = work.pop() {
+            groups_sunk += group_children(tree, node, &mut children);
+            work.extend(tree.children(node));
+        }
+        if groups_sunk > 0 {
+            count(counter::GROUPS_SUNK, groups_sunk);
+        }
+    })
 }
 
 /// Index of the first child in `children[from..]` carrying `tag`.
@@ -103,18 +102,16 @@ pub fn consolidation_rule(tree: &mut Tree<ConvNode>) {
 /// determine whether a node (concept) can become a parent or sibling of
 /// another node" — the promoted child is the first concept child that the
 /// constraints admit as a parent of its siblings-to-be.
+///
+/// Runs under a `consolidation-rule` span; every structural
+/// (HTML/`GROUP`) node the rule eliminates feeds the
+/// `nodes_consolidated` counter.
 pub fn consolidation_rule_with(tree: &mut Tree<ConvNode>, constraints: Option<&ConstraintSet>) {
-    consolidation_rule_with_obs(tree, constraints, Ctx::disabled());
+    span(stage::CONSOLIDATION, || consolidate(tree, constraints))
 }
 
-/// [`consolidation_rule_with`] with observability: every structural
-/// (HTML/`GROUP`) node the rule eliminates feeds the
-/// `nodes_consolidated` counter. The tree transformation is identical.
-pub fn consolidation_rule_with_obs(
-    tree: &mut Tree<ConvNode>,
-    constraints: Option<&ConstraintSet>,
-    ctx: Ctx<'_>,
-) {
+/// The consolidation rule's post-order pass.
+fn consolidate(tree: &mut Tree<ConvNode>, constraints: Option<&ConstraintSet>) {
     let mut consolidated = 0u64;
     let mut children: Vec<NodeId> = Vec::new();
     let mut concept_children: Vec<NodeId> = Vec::new();
@@ -152,7 +149,7 @@ pub fn consolidation_rule_with_obs(
         }
     }
     if consolidated > 0 {
-        ctx.count(counter::NODES_CONSOLIDATED, consolidated);
+        count(counter::NODES_CONSOLIDATED, consolidated);
     }
 }
 

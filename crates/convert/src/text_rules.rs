@@ -14,7 +14,7 @@ use std::sync::Arc;
 use crate::convert::{ClassifierMode, ConvertStats};
 use crate::node::{span_text, ConvNode, ConvTree};
 use webre_concepts::{ConceptMatch, ConceptMatcher, ConstraintSet, MatchScratch};
-use webre_obs::{counter, Ctx};
+use webre_obs::{count, counter, span, stage};
 use webre_text::tokenize::{split_token_spans_into, Delimiters};
 use webre_tree::NodeId;
 
@@ -23,33 +23,32 @@ use webre_tree::NodeId;
 ///
 /// Text nodes containing no token content (delimiters/whitespace only)
 /// simply disappear. Tokens are sub-spans of their text run's buffer — no
-/// text is copied.
+/// text is copied. Runs under a `tokenization-rule` span; the tokens
+/// produced feed the `tokens_split` counter.
 pub fn tokenization_rule(conv: &mut ConvTree, delimiters: &Delimiters) {
-    tokenization_rule_obs(conv, delimiters, Ctx::disabled());
-}
-
-/// [`tokenization_rule`] with observability: produced tokens feed the
-/// `tokens_split` counter. The tree transformation is identical.
-pub fn tokenization_rule_obs(conv: &mut ConvTree, delimiters: &Delimiters, ctx: Ctx<'_>) {
-    let ConvTree { tree, texts } = conv;
-    let ids: Vec<NodeId> = tree.descendants(tree.root()).collect();
-    let mut pieces: Vec<(usize, usize)> = Vec::new();
-    for id in ids {
-        let ConvNode::Text(span) = *tree.value(id) else {
-            continue;
-        };
-        split_token_spans_into(span_text(span, texts), delimiters, &mut pieces);
-        if !pieces.is_empty() {
-            ctx.count(counter::TOKENS_SPLIT, pieces.len() as u64);
+    span(stage::TOKENIZATION, || {
+        let ConvTree { tree, texts } = conv;
+        let ids: Vec<NodeId> = tree.descendants(tree.root()).collect();
+        let mut pieces: Vec<(usize, usize)> = Vec::new();
+        let mut tokens_split = 0u64;
+        for id in ids {
+            let ConvNode::Text(span) = *tree.value(id) else {
+                continue;
+            };
+            split_token_spans_into(span_text(span, texts), delimiters, &mut pieces);
+            tokens_split += pieces.len() as u64;
+            let mut anchor = id;
+            for &(start, end) in &pieces {
+                let node = tree.orphan(ConvNode::Token(span.sub(start, end)));
+                tree.insert_after(anchor, node);
+                anchor = node;
+            }
+            tree.detach(id);
         }
-        let mut anchor = id;
-        for &(start, end) in &pieces {
-            let node = tree.orphan(ConvNode::Token(span.sub(start, end)));
-            tree.insert_after(anchor, node);
-            anchor = node;
+        if tokens_split > 0 {
+            count(counter::TOKENS_SPLIT, tokens_split);
         }
-        tree.detach(id);
-    }
+    })
 }
 
 /// The concept names one rule run has handed out: concept nodes of the
@@ -86,6 +85,9 @@ fn distinct_concepts(matches: &[ConceptMatch<'_>]) -> usize {
 /// * nothing identified (synonyms and, if configured, the Bayes classifier
 ///   both fail) → the token is deleted and its text passed to the parent's
 ///   `val`, so no information is lost.
+///
+/// Runs under a `concept-instance-rule` span; every concept node the
+/// rule creates feeds the `concepts_matched` counter.
 pub fn concept_instance_rule(
     conv: &mut ConvTree,
     matcher: &ConceptMatcher,
@@ -93,19 +95,18 @@ pub fn concept_instance_rule(
     constraints: Option<&ConstraintSet>,
     stats: &mut ConvertStats,
 ) {
-    concept_instance_rule_obs(conv, matcher, classifier, constraints, stats, Ctx::disabled());
+    span(stage::CONCEPT_INSTANCE, || {
+        identify_concepts(conv, matcher, classifier, constraints, stats)
+    })
 }
 
-/// [`concept_instance_rule`] with observability: every concept node the
-/// rule creates feeds the `concepts_matched` counter. The tree
-/// transformation and statistics are identical.
-pub fn concept_instance_rule_obs(
+/// The concept instance rule's tree pass.
+fn identify_concepts(
     conv: &mut ConvTree,
     matcher: &ConceptMatcher,
     classifier: &ClassifierMode,
     constraints: Option<&ConstraintSet>,
     stats: &mut ConvertStats,
-    ctx: Ctx<'_>,
 ) {
     let ConvTree { tree, texts } = conv;
     let mut concepts_matched = 0u64;
@@ -194,7 +195,7 @@ pub fn concept_instance_rule_obs(
         }
     }
     if concepts_matched > 0 {
-        ctx.count(counter::CONCEPTS_MATCHED, concepts_matched);
+        count(counter::CONCEPTS_MATCHED, concepts_matched);
     }
 }
 

@@ -55,7 +55,7 @@ use webre::concepts::Domain;
 use webre::convert::ConvertConfig;
 use webre::obs::clock::MonotonicClock;
 use webre::obs::trace::TraceRecorder;
-use webre::obs::Ctx;
+use webre::obs::{scoped, Ctx};
 use webre::serve::obs::ObsLayer;
 use webre::serve::server::{ServeConfig, Server};
 use webre::Pipeline;
@@ -231,34 +231,19 @@ fn read(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))
 }
 
-/// `--trace-out FILE` support: a trace recorder (wall-clock driven) paired
-/// with the destination path, or `None` when the flag is absent.
-fn trace_from(parsed: &Parsed) -> Option<(TraceRecorder, String)> {
-    parsed.value("trace-out").map(|path| {
-        (
-            TraceRecorder::new(Box::new(MonotonicClock::new())),
-            path.to_owned(),
-        )
-    })
-}
-
-/// The recording context for an optional trace: parented at the recorder
-/// when tracing, the shared no-op context otherwise.
-fn trace_ctx(trace: &Option<(TraceRecorder, String)>) -> Ctx<'_> {
-    match trace {
-        Some((recorder, _)) => Ctx::new(recorder),
-        None => Ctx::disabled(),
-    }
-}
-
-/// Writes the chrome://tracing export once the traced work is done.
-fn write_trace(trace: Option<(TraceRecorder, String)>) -> Result<(), CliError> {
-    if let Some((recorder, path)) = trace {
-        std::fs::write(&path, recorder.to_chrome_json())
-            .map_err(|e| runtime_err(format!("cannot write trace {path}: {e}")))?;
-        eprintln!("trace written to {path}");
-    }
-    Ok(())
+/// `--trace-out FILE` support: runs `f` with a wall-clock trace recorder
+/// installed when the flag is given, then writes the chrome://tracing
+/// export. A failing `f` writes no trace.
+fn traced<T>(parsed: &Parsed, f: impl FnOnce() -> Result<T, CliError>) -> Result<T, CliError> {
+    let Some(path) = parsed.value("trace-out") else {
+        return f();
+    };
+    let recorder = TraceRecorder::new(Box::new(MonotonicClock::new()));
+    let out = scoped(Ctx::new(&recorder), f)?;
+    std::fs::write(path, recorder.to_chrome_json())
+        .map_err(|e| runtime_err(format!("cannot write trace {path}: {e}")))?;
+    eprintln!("trace written to {path}");
+    Ok(out)
 }
 
 /// Streams the input files through conversion one at a time: each
@@ -269,7 +254,6 @@ fn write_trace(trace: Option<(TraceRecorder, String)>) -> Result<(), CliError> {
 fn convert_inputs(
     pipeline: &Pipeline,
     paths: &[String],
-    ctx: Ctx<'_>,
 ) -> Result<(Vec<String>, Vec<XmlDocument>, usize), CliError> {
     let mut survivors = Vec::new();
     let mut docs = Vec::new();
@@ -277,7 +261,7 @@ fn convert_inputs(
     for path in paths {
         match std::fs::read_to_string(path) {
             Ok(html) => {
-                docs.push(pipeline.convert_html_obs(&html, ctx).0);
+                docs.push(pipeline.convert_html(&html).0);
                 survivors.push(path.clone());
             }
             Err(e) => {
@@ -379,13 +363,13 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, CliError> {
         return Err(usage_err("discover needs at least one input file"));
     }
     let pipeline = pipeline_from(&parsed)?;
-    let trace = trace_from(&parsed);
-    let ctx = trace_ctx(&trace);
-    let (_, docs, failures) = convert_inputs(&pipeline, &parsed.positional, ctx)?;
-    let discovery = pipeline
-        .discover_schema_obs(&docs, ctx)
-        .ok_or_else(|| runtime_err("empty corpus or root below support threshold"))?;
-    write_trace(trace)?;
+    let (discovery, failures) = traced(&parsed, || {
+        let (_, docs, failures) = convert_inputs(&pipeline, &parsed.positional)?;
+        let discovery = pipeline
+            .discover_schema(&docs)
+            .ok_or_else(|| runtime_err("empty corpus or root below support threshold"))?;
+        Ok((discovery, failures))
+    })?;
     println!("majority schema ({} paths):", discovery.schema.len());
     print!("{}", discovery.schema.render());
     println!();
@@ -415,32 +399,31 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| runtime_err(format!("cannot create out dir: {e}")))?;
     let pipeline = pipeline_from(&parsed)?;
-    let trace = trace_from(&parsed);
-    let ctx = trace_ctx(&trace);
-    let (survivors, docs, failures) = convert_inputs(&pipeline, &parsed.positional, ctx)?;
-    let discovery = pipeline
-        .discover_schema_obs(&docs, ctx)
-        .ok_or_else(|| runtime_err("empty corpus or root below support threshold"))?;
-    std::fs::write(out_dir.join("schema.dtd"), discovery.dtd.to_dtd_string())
-        .map_err(|e| runtime_err(e.to_string()))?;
-    let mut conforming = 0usize;
-    for (input, doc) in survivors.iter().zip(&docs) {
-        let outcome = pipeline.map_document_obs(doc, &discovery, ctx);
-        let stem = Path::new(input)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "doc".into());
-        let path = out_dir.join(format!("{stem}.xml"));
-        std::fs::write(&path, webre::xml::to_xml_pretty(&outcome.document))
+    let (written, conforming, failures) = traced(&parsed, || {
+        let (survivors, docs, failures) = convert_inputs(&pipeline, &parsed.positional)?;
+        let discovery = pipeline
+            .discover_schema(&docs)
+            .ok_or_else(|| runtime_err("empty corpus or root below support threshold"))?;
+        std::fs::write(out_dir.join("schema.dtd"), discovery.dtd.to_dtd_string())
             .map_err(|e| runtime_err(e.to_string()))?;
-        if outcome.conforms {
-            conforming += 1;
+        let mut conforming = 0usize;
+        for (input, doc) in survivors.iter().zip(&docs) {
+            let outcome = pipeline.map_document(doc, &discovery);
+            let stem = Path::new(input)
+                .file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_else(|| "doc".into());
+            let path = out_dir.join(format!("{stem}.xml"));
+            std::fs::write(&path, webre::xml::to_xml_pretty(&outcome.document))
+                .map_err(|e| runtime_err(e.to_string()))?;
+            if outcome.conforms {
+                conforming += 1;
+            }
         }
-    }
-    write_trace(trace)?;
+        Ok((docs.len(), conforming, failures))
+    })?;
     println!(
-        "wrote {} mapped documents + schema.dtd to {} ({conforming} conforming)",
-        docs.len(),
+        "wrote {written} mapped documents + schema.dtd to {} ({conforming} conforming)",
         out_dir.display()
     );
     if failures > 0 {
@@ -484,44 +467,44 @@ fn cmd_map(args: &[String]) -> Result<ExitCode, CliError> {
         ..webre::map::MapPlanner::default()
     };
     let pipeline = pipeline_from(&parsed)?;
-    let trace = trace_from(&parsed);
-    let ctx = trace_ctx(&trace);
-    let (survivors, docs, failures) = convert_inputs(&pipeline, &parsed.positional, ctx)?;
-    let discovery = pipeline
-        .discover_schema_obs(&docs, ctx)
-        .ok_or_else(|| runtime_err("empty corpus or root below support threshold"))?;
-    for (input, doc) in survivors.iter().zip(&docs) {
-        let planned = pipeline.plan_document_obs(doc, &discovery, &planner, ctx);
-        if parsed.switch("json") {
-            // Exactly the body `POST /map` serves for this document.
-            println!("{}", webre::map::render_json(&planned, budget));
-        } else {
-            let cost = match planned.cost {
-                Some(cost) => cost.to_string(),
-                None => "-".to_owned(),
-            };
-            println!(
-                "{input}: tier={} cost={cost} lower-bound={} conforms={}",
-                planned.tier.label(),
-                planned.lower_bound,
-                planned.conforms
-            );
-        }
-        if let Some(dir) = &out_dir {
-            if planned.tier != webre::map::MapTier::Rejected {
-                let stem = Path::new(input)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| "doc".into());
-                std::fs::write(
-                    dir.join(format!("{stem}.xml")),
-                    webre::xml::to_xml_pretty(&planned.document),
-                )
-                .map_err(|e| runtime_err(e.to_string()))?;
+    let failures = traced(&parsed, || {
+        let (survivors, docs, failures) = convert_inputs(&pipeline, &parsed.positional)?;
+        let discovery = pipeline
+            .discover_schema(&docs)
+            .ok_or_else(|| runtime_err("empty corpus or root below support threshold"))?;
+        for (input, doc) in survivors.iter().zip(&docs) {
+            let planned = pipeline.plan_document(doc, &discovery, &planner);
+            if parsed.switch("json") {
+                // Exactly the body `POST /map` serves for this document.
+                println!("{}", webre::map::render_json(&planned, budget));
+            } else {
+                let cost = match planned.cost {
+                    Some(cost) => cost.to_string(),
+                    None => "-".to_owned(),
+                };
+                println!(
+                    "{input}: tier={} cost={cost} lower-bound={} conforms={}",
+                    planned.tier.label(),
+                    planned.lower_bound,
+                    planned.conforms
+                );
+            }
+            if let Some(dir) = &out_dir {
+                if planned.tier != webre::map::MapTier::Rejected {
+                    let stem = Path::new(input)
+                        .file_stem()
+                        .map(|s| s.to_string_lossy().into_owned())
+                        .unwrap_or_else(|| "doc".into());
+                    std::fs::write(
+                        dir.join(format!("{stem}.xml")),
+                        webre::xml::to_xml_pretty(&planned.document),
+                    )
+                    .map_err(|e| runtime_err(e.to_string()))?;
+                }
             }
         }
-    }
-    write_trace(trace)?;
+        Ok(failures)
+    })?;
     if failures > 0 {
         eprintln!("{failures} input(s) skipped due to read errors");
     }

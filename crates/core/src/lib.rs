@@ -156,12 +156,6 @@ impl Pipeline {
         self.converter.convert_str(html)
     }
 
-    /// [`Pipeline::convert_html`] with observability; spans and counters
-    /// are recorded through `ctx` and the output is identical.
-    pub fn convert_html_obs(&self, html: &str, ctx: obs::Ctx<'_>) -> (XmlDocument, ConvertStats) {
-        self.converter.convert_str_obs(html, ctx)
-    }
-
     /// Converts a corpus of HTML documents.
     pub fn convert_corpus(&self, htmls: &[String]) -> Vec<XmlDocument> {
         self.converter.convert_corpus(htmls)
@@ -180,26 +174,16 @@ impl Pipeline {
     }
 
     /// Discovers the majority schema and DTD for a set of XML documents.
+    /// Path extraction, mining, and DTD derivation each run under their
+    /// own span.
     ///
     /// Returns `None` for an empty corpus.
     pub fn discover_schema(&self, docs: &[XmlDocument]) -> Option<DiscoveryResult> {
-        self.discover_schema_obs(docs, obs::Ctx::disabled())
-    }
-
-    /// [`Pipeline::discover_schema`] with observability: path extraction,
-    /// mining, and DTD derivation each run under their own span. The
-    /// discovery result is identical.
-    pub fn discover_schema_obs(
-        &self,
-        docs: &[XmlDocument],
-        ctx: obs::Ctx<'_>,
-    ) -> Option<DiscoveryResult> {
-        let paths: Vec<DocPaths> = {
-            let _span = ctx.span(obs::stage::EXTRACT_PATHS);
+        let paths: Vec<DocPaths> = obs::span(obs::stage::EXTRACT_PATHS, || {
             docs.iter().map(extract_paths).collect()
-        };
-        let outcome = self.miner.mine_view_obs(paths.as_slice(), ctx)?;
-        let dtd = schema::derive_dtd_obs(&outcome.schema, &paths, &self.dtd_config, ctx);
+        });
+        let outcome = self.miner.mine_view(paths.as_slice())?;
+        let dtd = schema::derive_dtd(&outcome.schema, &paths, &self.dtd_config);
         Some(DiscoveryResult {
             schema: outcome.schema,
             dtd,
@@ -208,25 +192,16 @@ impl Pipeline {
         })
     }
 
-    /// Maps a (possibly non-conforming) document onto a discovered DTD.
+    /// Maps a (possibly non-conforming) document onto a discovered DTD,
+    /// under a `map-to-dtd` span.
     pub fn map_document(
         &self,
         doc: &XmlDocument,
         discovery: &DiscoveryResult,
     ) -> MapOutcome {
-        webre_map::map_to_dtd(doc, &discovery.schema, &discovery.dtd)
-    }
-
-    /// [`Pipeline::map_document`] with observability: the mapping runs
-    /// under a `map-to-dtd` span. The outcome is identical.
-    pub fn map_document_obs(
-        &self,
-        doc: &XmlDocument,
-        discovery: &DiscoveryResult,
-        ctx: obs::Ctx<'_>,
-    ) -> MapOutcome {
-        let _span = ctx.span(obs::stage::MAP);
-        webre_map::map_to_dtd(doc, &discovery.schema, &discovery.dtd)
+        obs::span(obs::stage::MAP, || {
+            webre_map::map_to_dtd(doc, &discovery.schema, &discovery.dtd)
+        })
     }
 
     /// Maps `doc` through the tiered planner (conformant / rejected /
@@ -238,45 +213,17 @@ impl Pipeline {
         discovery: &DiscoveryResult,
         planner: &webre_map::MapPlanner,
     ) -> webre_map::PlannedMap {
-        self.plan_document_obs(doc, discovery, planner, obs::Ctx::disabled())
-    }
-
-    /// [`Pipeline::plan_document`] with observability: the plan runs
-    /// under a `map-to-dtd` span with the filter and exact tiers nested
-    /// beneath it.
-    pub fn plan_document_obs(
-        &self,
-        doc: &XmlDocument,
-        discovery: &DiscoveryResult,
-        planner: &webre_map::MapPlanner,
-        ctx: obs::Ctx<'_>,
-    ) -> webre_map::PlannedMap {
-        let scope = ctx.span(obs::stage::MAP);
-        planner.plan_obs(doc, &discovery.schema, &discovery.dtd, scope.ctx())
+        planner.plan(doc, &discovery.schema, &discovery.dtd)
     }
 
     /// Full run: convert every HTML document, discover the schema, and map
     /// every document onto the derived DTD.
     pub fn run(&self, htmls: &[String]) -> Option<(DiscoveryResult, Vec<MapOutcome>)> {
-        self.run_obs(htmls, obs::Ctx::disabled())
-    }
-
-    /// [`Pipeline::run`] with observability: every conversion, the
-    /// discovery stages, and every mapping record spans and counters
-    /// through `ctx`. The result is identical to [`Pipeline::run`].
-    pub fn run_obs(
-        &self,
-        htmls: &[String],
-        ctx: obs::Ctx<'_>,
-    ) -> Option<(DiscoveryResult, Vec<MapOutcome>)> {
-        let docs: Vec<XmlDocument> = htmls
-            .iter()
-            .map(|h| self.converter.convert_str_obs(h, ctx).0)
-            .collect();
-        let discovery = self.discover_schema_obs(&docs, ctx)?;
+        let docs: Vec<XmlDocument> = htmls.iter().map(|h| self.convert_html(h).0).collect();
+        let discovery = self.discover_schema(&docs)?;
         let mapped = docs
             .iter()
-            .map(|d| self.map_document_obs(d, &discovery, ctx))
+            .map(|d| self.map_document(d, &discovery))
             .collect();
         Some((discovery, mapped))
     }

@@ -29,7 +29,7 @@ use crate::edit_script::{edit_script, EditOp};
 use crate::filter::{lower_bound, TreeProfile};
 use crate::mapper::transform;
 use crate::zhang_shasha::{label_tree, EditCosts};
-use webre_obs::{counter, stage, Ctx};
+use webre_obs::{count, counter, span, stage};
 use webre_schema::MajoritySchema;
 use webre_substrate::json::Json;
 use webre_xml::{to_xml, Dtd, XmlDocument};
@@ -108,26 +108,19 @@ impl Default for MapPlanner {
 }
 
 impl MapPlanner {
-    /// Plans the mapping of `doc` onto `schema`/`dtd`.
-    pub fn plan(&self, doc: &XmlDocument, schema: &MajoritySchema, dtd: &Dtd) -> PlannedMap {
-        self.plan_obs(doc, schema, dtd, Ctx::disabled())
-    }
-
-    /// [`MapPlanner::plan`] with observability: the filter tier runs under
-    /// a [`stage::MAP_FILTER`] span, the exact tier under
+    /// Plans the mapping of `doc` onto `schema`/`dtd`, under a
+    /// [`stage::MAP`] span. The filter tier runs under a
+    /// [`stage::MAP_FILTER`] span, the exact tier under
     /// [`stage::MAP_EXACT`], and exactly one of the `map_*` tier counters
     /// is incremented.
-    pub fn plan_obs(
-        &self,
-        doc: &XmlDocument,
-        schema: &MajoritySchema,
-        dtd: &Dtd,
-        ctx: Ctx<'_>,
-    ) -> PlannedMap {
+    pub fn plan(&self, doc: &XmlDocument, schema: &MajoritySchema, dtd: &Dtd) -> PlannedMap {
+        span(stage::MAP, || self.plan_tiers(doc, schema, dtd))
+    }
+
+    fn plan_tiers(&self, doc: &XmlDocument, schema: &MajoritySchema, dtd: &Dtd) -> PlannedMap {
         let (mapped, stats, conforms) = transform(doc, schema, dtd);
 
-        let (source, target, bound, identical) = {
-            let _scope = ctx.span(stage::MAP_FILTER);
+        let (source, target, bound, identical) = span(stage::MAP_FILTER, || {
             let source = label_tree(doc);
             let target = label_tree(&mapped);
             let bound = lower_bound(
@@ -137,7 +130,7 @@ impl MapPlanner {
             );
             let identical = source.subtree_eq(source.root(), &target, target.root());
             (source, target, bound, identical)
-        };
+        });
 
         let mut planned = PlannedMap {
             document: mapped,
@@ -166,28 +159,27 @@ impl MapPlanner {
                     .subtree_size(planned.document.root());
                 planned.script =
                     Some((0..nodes).map(|i| EditOp::Match { from: i, to: i }).collect());
-                ctx.count(counter::MAP_CONFORMANT, 1);
+                count(counter::MAP_CONFORMANT, 1);
                 return planned;
             }
             if let Some(budget) = self.budget {
                 if bound > budget {
                     planned.tier = MapTier::Rejected;
-                    ctx.count(counter::MAP_REJECTED, 1);
+                    count(counter::MAP_REJECTED, 1);
                     return planned;
                 }
             }
         }
 
-        let (cost, mut script) = {
-            let _scope = ctx.span(stage::MAP_EXACT);
+        let (cost, mut script) = span(stage::MAP_EXACT, || {
             edit_script(&source, &target, &self.costs)
-        };
+        });
         if self.budget.is_some_and(|budget| cost > budget) {
             // Same rejection the filter would have made with a tighter
             // bound: report the bound only, never the cost/script, so the
             // response is byte-identical whichever path rejected.
             planned.tier = MapTier::Rejected;
-            ctx.count(counter::MAP_REJECTED, 1);
+            count(counter::MAP_REJECTED, 1);
             return planned;
         }
         canonical_sort(&mut script);
@@ -195,10 +187,10 @@ impl MapPlanner {
             // The DP confirmed structural identity (filter off, or trees
             // equal but filter disabled) — report it as conformant so the
             // tier label never depends on the filter switch.
-            ctx.count(counter::MAP_CONFORMANT, 1);
+            count(counter::MAP_CONFORMANT, 1);
             MapTier::Conformant
         } else {
-            ctx.count(counter::MAP_EXACT, 1);
+            count(counter::MAP_EXACT, 1);
             MapTier::Exact
         };
         planned.cost = Some(cost);

@@ -4,16 +4,20 @@
 //!
 //! # Design
 //!
-//! Instrumentation points never talk to a concrete backend. They hold a
-//! [`Ctx`] — a copyable `(recorder, parent span)` pair — and call
-//! [`Ctx::span`] / [`Ctx::count`] on it. The recorder behind the context
-//! is chosen **once** at startup:
+//! Instrumentation points never talk to a concrete backend, and no
+//! pipeline function takes an observability argument. The recorder is
+//! **ambient**: [`scoped`] installs a [`Ctx`] — a `(recorder, parent
+//! span)` pair — in a thread-local for the duration of a closure, and
+//! the pipeline records through the free functions [`span`] and
+//! [`count`], which read that thread-local. Each pipeline operation
+//! therefore has exactly one function, instrumented or not depending on
+//! what its caller installed:
 //!
-//! * [`NoopRecorder`] (the default): `enabled()` is `false`, every call
-//!   returns immediately, and the instrumented code paths stay
-//!   byte-identical to the uninstrumented ones — a contract the
-//!   `trace-noop` differential oracle in `webre-check` holds over fuzzed
-//!   corpora.
+//! * nothing installed (the default): each [`span`] / [`count`] call is
+//!   one thread-local read and records nothing; the instrumented code
+//!   paths stay byte-identical to the uninstrumented ones — a contract
+//!   the `trace-noop` differential oracle in `webre-check` holds over
+//!   fuzzed corpora.
 //! * [`trace::TraceRecorder`]: records every span with timestamps from an
 //!   injectable [`clock::Clock`], exportable as chrome://tracing JSON
 //!   (`webre run --trace-out`), a deterministic span-tree (the golden
@@ -25,8 +29,13 @@
 //! * [`TeeRecorder`]: fans out to two recorders, so `webre serve
 //!   --trace-out` can feed `/metrics` aggregates *and* a trace file.
 //!
+//! The context is per thread. Code that fans work out to scoped threads
+//! passes the caller's context along with [`with_current`] and
+//! re-installs it in each worker with [`scoped`], so the workers' spans
+//! nest under the caller's span.
+//!
 //! Time never comes from the instrumented crates themselves: the pure
-//! pipeline crates (`convert`, `text`, `schema`, …) stay free of
+//! pipeline crates (`convert`, `schema`, …) stay free of
 //! `Instant`/`SystemTime` (the `no-wall-clock` lint rule enforces this,
 //! and covers this crate too) — the clock is injected into the recorder
 //! at construction.
@@ -37,6 +46,8 @@
 //! both are closed catalogues (`ALL` arrays) so exports can be validated
 //! against them — the verify-script trace smoke gate cross-checks every
 //! span name in a `--trace-out` file against [`stage::ALL`].
+
+use std::cell::Cell;
 
 pub mod clock;
 pub mod hist;
@@ -144,12 +155,12 @@ pub mod counter {
 
 /// An opaque span handle. Meaning is recorder-private (the trace recorder
 /// uses indices, the stats recorder packs stage + start time); `NONE`
-/// marks "no span" and is what the no-op recorder always returns.
+/// marks "no span": the parent of a root span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
-    /// The absent span (no-op recorder, root contexts).
+    /// The absent span (root contexts, uncatalogued stages).
     pub const NONE: SpanId = SpanId(u64::MAX);
 
     /// Whether this is the absent span.
@@ -158,12 +169,12 @@ impl SpanId {
     }
 }
 
-/// The recorder interface. Object-safe on purpose: the pipeline holds a
-/// `&dyn Recorder` chosen once at startup, so disabling observability
-/// costs one virtual `enabled()` check per instrumentation point.
+/// The recorder interface. Object-safe on purpose: [`scoped`] installs a
+/// `&dyn Recorder` chosen by the caller, so the pipeline crates never
+/// name a concrete backend.
 pub trait Recorder: Send + Sync {
-    /// `false` means every other method is a no-op; instrumentation
-    /// points skip argument preparation entirely when this is `false`.
+    /// `false` means every other method is a no-op; a context built over
+    /// such a recorder records nothing (see [`Ctx::new`]).
     fn enabled(&self) -> bool;
     /// Opens a span named `name` (a [`stage`] constant) under `parent`.
     fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId;
@@ -174,102 +185,112 @@ pub trait Recorder: Send + Sync {
     fn count(&self, span: SpanId, name: &'static str, n: u64);
 }
 
-/// The disabled recorder: never records anything.
-pub struct NoopRecorder;
-
-/// The shared no-op instance behind [`Ctx::disabled`].
-pub static NOOP: NoopRecorder = NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn span_start(&self, _name: &'static str, _parent: SpanId) -> SpanId {
-        SpanId::NONE
-    }
-
-    fn span_end(&self, _id: SpanId) {}
-
-    fn count(&self, _span: SpanId, _name: &'static str, _n: u64) {}
-}
-
-/// An instrumentation context: the recorder plus the current parent
-/// span. `Copy`, two words — cheap to pass down every call that might
-/// want to record something.
+/// An instrumentation context: the recorder plus the span new spans nest
+/// under. `Copy`, three words. Build one with [`Ctx::new`] and install
+/// it with [`scoped`].
 #[derive(Clone, Copy)]
 pub struct Ctx<'a> {
-    recorder: &'a dyn Recorder,
+    /// `None` records nothing.
+    recorder: Option<&'a dyn Recorder>,
     parent: SpanId,
 }
 
 impl<'a> Ctx<'a> {
-    /// A root context over `recorder`.
+    /// A root context over `recorder`; one over a disabled recorder
+    /// records nothing.
     pub fn new(recorder: &'a dyn Recorder) -> Ctx<'a> {
         Ctx {
-            recorder,
+            recorder: recorder.enabled().then_some(recorder),
             parent: SpanId::NONE,
         }
     }
-
-    /// The context every un-instrumented caller uses: the static no-op
-    /// recorder, zero-cost by construction.
-    pub fn disabled() -> Ctx<'static> {
-        Ctx::new(&NOOP)
-    }
-
-    /// Whether the recorder behind this context records anything.
-    pub fn enabled(&self) -> bool {
-        self.recorder.enabled()
-    }
-
-    /// Opens a child span; the returned [`Scope`] closes it on drop and
-    /// exposes (via [`Scope::ctx`]) a context parented at the new span.
-    pub fn span(&self, name: &'static str) -> Scope<'a> {
-        if !self.recorder.enabled() {
-            return Scope {
-                ctx: *self,
-                opened: false,
-            };
-        }
-        let id = self.recorder.span_start(name, self.parent);
-        Scope {
-            ctx: Ctx {
-                recorder: self.recorder,
-                parent: id,
-            },
-            opened: true,
-        }
-    }
-
-    /// Adds `n` to counter `name`, attributed to this context's span.
-    pub fn count(&self, name: &'static str, n: u64) {
-        if self.recorder.enabled() {
-            self.recorder.count(self.parent, name, n);
-        }
-    }
 }
 
-/// RAII guard for an open span; dropping it ends the span.
-pub struct Scope<'a> {
-    ctx: Ctx<'a>,
-    opened: bool,
+/// The context of a thread nothing has been installed on.
+const NOTHING: Ctx<'static> = Ctx {
+    recorder: None,
+    parent: SpanId::NONE,
+};
+
+thread_local! {
+    /// The innermost context installed on this thread. Its recorder
+    /// borrow really lives only as long as the [`scoped`] call that
+    /// installed it.
+    static CURRENT: Cell<Ctx<'static>> = const { Cell::new(NOTHING) };
 }
 
-impl<'a> Scope<'a> {
-    /// A context whose parent is this scope's span — pass it to callees
-    /// so their spans and counters nest under this one.
-    pub fn ctx(&self) -> Ctx<'a> {
-        self.ctx
-    }
-}
+/// Puts back the context a [`scoped`] call replaced.
+struct Restore(Ctx<'static>);
 
-impl Drop for Scope<'_> {
+impl Drop for Restore {
     fn drop(&mut self) {
-        if self.opened {
-            self.ctx.recorder.span_end(self.ctx.parent);
-        }
+        CURRENT.with(|current| current.set(self.0));
     }
+}
+
+/// Runs `f` with `ctx` as this thread's current context. The previous
+/// context comes back when `f` returns or unwinds.
+pub fn scoped<R>(ctx: Ctx<'_>, f: impl FnOnce() -> R) -> R {
+    // SAFETY: only the lifetime changes. The erased borrow is never used
+    // after it ends, because no context outlives the `scoped` call that
+    // installed it:
+    // - `_restore` takes `ctx` out of `CURRENT` when this call returns
+    //   or unwinds, inside the borrow `ctx` carries;
+    // - contexts installed inside `f` (by `span` or a nested `scoped`)
+    //   are taken out before `f` returns, so installs nest LIFO;
+    // - `span` and `count` use the context they read only within their
+    //   own call, and `with_current` lends it to a closure generic over
+    //   its lifetime, so no copy of it escapes.
+    let ctx = unsafe { std::mem::transmute::<Ctx<'_>, Ctx<'static>>(ctx) };
+    let _restore = Restore(CURRENT.with(|current| current.replace(ctx)));
+    f()
+}
+
+/// Runs `f` under a child span `name` (a [`stage`] constant) of the
+/// current context; spans opened inside `f` nest under it. The span
+/// ends when `f` returns or unwinds. With nothing installed this is one
+/// thread-local read.
+pub fn span<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
+    let current = CURRENT.with(Cell::get);
+    let Some(recorder) = current.recorder else {
+        return f();
+    };
+    let id = recorder.span_start(name, current.parent);
+    let _end = EndSpan { recorder, id };
+    let child = Ctx {
+        recorder: Some(recorder),
+        parent: id,
+    };
+    scoped(child, f)
+}
+
+/// Ends a span [`span`] opened.
+struct EndSpan {
+    recorder: &'static dyn Recorder,
+    id: SpanId,
+}
+
+impl Drop for EndSpan {
+    fn drop(&mut self) {
+        self.recorder.span_end(self.id);
+    }
+}
+
+/// Adds `n` to counter `name` (a [`counter`] constant), attributed to
+/// the current span. With nothing installed this is one thread-local
+/// read.
+pub fn count(name: &'static str, n: u64) {
+    let current = CURRENT.with(Cell::get);
+    if let Some(recorder) = current.recorder {
+        recorder.count(current.parent, name, n);
+    }
+}
+
+/// Lends `f` the current context, so it can re-install it with
+/// [`scoped`] on the threads it spawns and joins (`std::thread::scope`):
+/// their spans then nest under the current span.
+pub fn with_current<R>(f: impl FnOnce(Ctx<'_>) -> R) -> R {
+    f(CURRENT.with(Cell::get))
 }
 
 /// Fans every call out to two recorders (aggregates + trace, for
@@ -369,31 +390,74 @@ mod tests {
 
     #[test]
     fn disabled_ctx_records_nothing_and_costs_no_spans() {
-        let ctx = Ctx::disabled();
-        assert!(!ctx.enabled());
-        let scope = ctx.span(stage::CONVERT);
-        scope.ctx().count(counter::TOKENS_SPLIT, 3);
-        drop(scope);
-        // The no-op recorder has no state to assert against; the contract
-        // is that nothing panics and ids stay NONE.
-        assert!(NOOP.span_start(stage::MINE, SpanId::NONE).is_none());
+        // Nothing installed: spans still run their closure, nothing is
+        // recorded anywhere, and no context leaks out.
+        let value = span(stage::CONVERT, || {
+            count(counter::TOKENS_SPLIT, 3);
+            7
+        });
+        assert_eq!(value, 7);
+        assert!(CURRENT.with(Cell::get).recorder.is_none());
+        // A disabled recorder installs nothing either.
+        struct Off;
+        impl Recorder for Off {
+            fn enabled(&self) -> bool {
+                false
+            }
+            fn span_start(&self, _: &'static str, _: SpanId) -> SpanId {
+                panic!("disabled recorder asked to open a span")
+            }
+            fn span_end(&self, _: SpanId) {}
+            fn count(&self, _: SpanId, _: &'static str, _: u64) {
+                panic!("disabled recorder asked to count")
+            }
+        }
+        scoped(Ctx::new(&Off), || {
+            span(stage::MINE, || count(counter::PATHS_EXPLORED, 1));
+        });
     }
 
     #[test]
     fn scope_nesting_threads_parents() {
         let recorder = TraceRecorder::new(Box::new(FakeClock::new(1_000)));
-        let ctx = Ctx::new(&recorder);
-        {
-            let outer = ctx.span(stage::CONVERT);
-            let inner = outer.ctx().span(stage::TOKENIZATION);
-            inner.ctx().count(counter::TOKENS_SPLIT, 2);
-        }
+        scoped(Ctx::new(&recorder), || {
+            span(stage::CONVERT, || {
+                span(stage::TOKENIZATION, || count(counter::TOKENS_SPLIT, 2));
+            });
+        });
         let spans = recorder.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, stage::CONVERT);
         assert_eq!(spans[1].name, stage::TOKENIZATION);
         assert_eq!(spans[1].parent, Some(0));
         assert_eq!(spans[1].counters, vec![(counter::TOKENS_SPLIT, 2)]);
+        assert!(spans.iter().all(|s| s.end_ns.is_some()));
+    }
+
+    #[test]
+    fn unwinding_restores_the_context() {
+        // A serve worker after a handler panic: the panic unwinds out of
+        // `scoped(a, …)` and is caught inside `scoped(b, …)`.
+        let a = TraceRecorder::new(Box::new(FakeClock::new(1_000)));
+        let b = TraceRecorder::new(Box::new(FakeClock::new(1_000)));
+        scoped(Ctx::new(&b), || {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scoped(Ctx::new(&a), || span(stage::REQUEST, || panic!("handler panicked")))
+            }));
+            assert!(caught.is_err());
+            span(stage::MINE, || count(counter::PATHS_EXPLORED, 1));
+        });
+        span(stage::DERIVE_DTD, || count(counter::PATHS_ACCEPTED, 1));
+        assert!(CURRENT.with(Cell::get).recorder.is_none());
+        let in_a = a.spans();
+        assert_eq!(in_a.len(), 1);
+        assert_eq!(in_a[0].name, stage::REQUEST);
+        assert!(in_a[0].end_ns.is_some(), "unwinding ends the span");
+        let in_b = b.spans();
+        assert_eq!(in_b.len(), 1);
+        assert_eq!(in_b[0].name, stage::MINE);
+        assert_eq!(in_b[0].parent, None);
+        assert_eq!(in_b[0].counters, vec![(counter::PATHS_EXPLORED, 1)]);
     }
 
     #[test]
@@ -405,12 +469,12 @@ mod tests {
             Arc::clone(&a) as Arc<dyn Recorder>,
             Arc::clone(&b) as Arc<dyn Recorder>,
         );
-        let ctx = Ctx::new(&tee);
-        {
-            let outer = ctx.span(stage::MINE);
-            outer.ctx().count(counter::PATHS_EXPLORED, 7);
-            let _inner = outer.ctx().span(stage::DERIVE_DTD);
-        }
+        scoped(Ctx::new(&tee), || {
+            span(stage::MINE, || {
+                count(counter::PATHS_EXPLORED, 7);
+                span(stage::DERIVE_DTD, || {});
+            })
+        });
         for rec in [&a, &b] {
             let spans = rec.spans();
             assert_eq!(spans.len(), 2);

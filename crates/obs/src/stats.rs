@@ -136,17 +136,17 @@ impl Recorder for StatsRecorder {
 mod tests {
     use super::*;
     use crate::clock::FakeClock;
-    use crate::Ctx;
+    use crate::{count, scoped, span, Ctx};
 
     #[test]
     fn aggregates_span_counts_times_and_counters() {
         // Tick of 3µs per clock reading: each span lasts exactly 3µs.
         let rec = StatsRecorder::new(Box::new(FakeClock::new(3_000)));
-        let ctx = Ctx::new(&rec);
-        for _ in 0..4 {
-            let s = ctx.span(stage::CONVERT);
-            s.ctx().count(counter::TOKENS_SPLIT, 5);
-        }
+        scoped(Ctx::new(&rec), || {
+            for _ in 0..4 {
+                span(stage::CONVERT, || count(counter::TOKENS_SPLIT, 5));
+            }
+        });
         assert_eq!(rec.spans_total(stage::CONVERT), Some(4));
         assert_eq!(rec.counter_total(counter::TOKENS_SPLIT), Some(20));
         let text = rec.render();
@@ -160,8 +160,7 @@ mod tests {
     #[test]
     fn silent_stages_and_counters_are_elided() {
         let rec = StatsRecorder::new(Box::new(FakeClock::new(1_000)));
-        let ctx = Ctx::new(&rec);
-        drop(ctx.span(stage::MINE));
+        scoped(Ctx::new(&rec), || span(stage::MINE, || {}));
         let text = rec.render();
         assert!(text.contains("stage=\"mine-frequent-paths\""));
         assert!(!text.contains("stage=\"convert\""));
@@ -171,10 +170,11 @@ mod tests {
     #[test]
     fn open_spans_are_not_counted_until_ended() {
         let rec = StatsRecorder::new(Box::new(FakeClock::new(1_000)));
-        let ctx = Ctx::new(&rec);
-        let open = ctx.span(stage::REQUEST);
-        assert_eq!(rec.spans_total(stage::REQUEST), Some(0));
-        drop(open);
+        scoped(Ctx::new(&rec), || {
+            span(stage::REQUEST, || {
+                assert_eq!(rec.spans_total(stage::REQUEST), Some(0));
+            })
+        });
         assert_eq!(rec.spans_total(stage::REQUEST), Some(1));
     }
 

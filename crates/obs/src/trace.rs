@@ -52,32 +52,30 @@ impl TraceRecorder {
         self.lock().clone()
     }
 
-    /// The index of the root ancestor of span `i`.
-    fn root_of(spans: &[SpanRec], mut i: usize) -> usize {
-        while let Some(p) = spans[i].parent {
-            i = p;
-        }
-        i
-    }
-
     /// chrome://tracing trace-event JSON. Each span becomes a complete
     /// (`"ph": "X"`) event; `tid` groups spans by root ancestor so
     /// concurrent span trees (e.g. served requests) land on separate
-    /// tracks.
+    /// tracks, numbered from 1 in root start order.
     pub fn to_chrome_json(&self) -> String {
         let spans = self.lock();
-        let roots: Vec<usize> = spans
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.parent.is_none())
-            .map(|(i, _)| i)
-            .collect();
+        // A parent always starts before its children, so one pass in
+        // start order sees every parent's track before its children.
+        let mut tracks: Vec<usize> = Vec::with_capacity(spans.len());
+        let mut roots = 0;
+        for s in spans.iter() {
+            let track = match s.parent {
+                Some(p) => tracks[p],
+                None => {
+                    roots += 1;
+                    roots
+                }
+            };
+            tracks.push(track);
+        }
         let events: Vec<Json> = spans
             .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let root = Self::root_of(&spans, i);
-                let track = roots.iter().position(|r| *r == root).unwrap_or(0) + 1;
+            .zip(&tracks)
+            .map(|(s, &track)| {
                 let end = s.end_ns.unwrap_or(s.start_ns);
                 let args = Json::obj(
                     s.counters
@@ -104,15 +102,10 @@ impl TraceRecorder {
     /// trace test commits.
     pub fn span_tree_json(&self) -> String {
         let spans = self.lock();
-        fn node(spans: &[SpanRec], i: usize) -> Json {
+        fn node(spans: &[SpanRec], children: &[Vec<usize>], i: usize) -> Json {
             let s = &spans[i];
             let end = s.end_ns.unwrap_or(s.start_ns);
-            let children: Vec<Json> = spans
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.parent == Some(i))
-                .map(|(j, _)| node(spans, j))
-                .collect();
+            let kids: Vec<Json> = children[i].iter().map(|&c| node(spans, children, c)).collect();
             Json::obj([
                 ("name", Json::Str(s.name.to_string())),
                 ("start_us", Json::Num(s.start_ns as f64 / 1_000.0)),
@@ -125,15 +118,18 @@ impl TraceRecorder {
                             .map(|(name, n)| (*name, Json::Num(*n as f64))),
                     ),
                 ),
-                ("children", Json::Arr(children)),
+                ("children", Json::Arr(kids)),
             ])
         }
-        let roots: Vec<Json> = spans
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.parent.is_none())
-            .map(|(i, _)| node(&spans, i))
-            .collect();
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
+        let mut roots: Vec<usize> = Vec::new();
+        for (i, s) in spans.iter().enumerate() {
+            match s.parent {
+                Some(p) => children[p].push(i),
+                None => roots.push(i),
+            }
+        }
+        let roots: Vec<Json> = roots.iter().map(|&i| node(&spans, &children, i)).collect();
         Json::obj([("spans", Json::Arr(roots))]).to_string_pretty()
     }
 }
@@ -193,20 +189,20 @@ impl Recorder for TraceRecorder {
 mod tests {
     use super::*;
     use crate::clock::FakeClock;
-    use crate::{stage, Ctx};
+    use crate::{count, scoped, span, stage, Ctx};
 
     fn sample() -> TraceRecorder {
         let rec = TraceRecorder::new(Box::new(FakeClock::new(1_000)));
-        {
-            let ctx = Ctx::new(&rec);
-            let convert = ctx.span(stage::CONVERT);
-            {
-                let tok = convert.ctx().span(stage::TOKENIZATION);
-                tok.ctx().count(counter::TOKENS_SPLIT, 4);
-                tok.ctx().count(counter::TOKENS_SPLIT, 2);
-            }
-            let _mine = ctx.span(stage::MINE);
-        }
+        scoped(Ctx::new(&rec), || {
+            span(stage::CONVERT, || {
+                span(stage::TOKENIZATION, || {
+                    count(counter::TOKENS_SPLIT, 4);
+                    count(counter::TOKENS_SPLIT, 2);
+                });
+                // A second root, opened while the first is still open.
+                scoped(Ctx::new(&rec), || span(stage::MINE, || {}));
+            })
+        });
         rec
     }
 
@@ -228,6 +224,29 @@ mod tests {
             .map(|e| e.get("tid").and_then(Json::as_f64).unwrap())
             .collect();
         assert_eq!(tids, vec![1.0, 1.0, 2.0]);
+
+        // Two root trees whose spans interleave in start order (two
+        // workers): every span takes its own root's track, and tracks
+        // number the roots in start order.
+        let rec = TraceRecorder::new(Box::new(FakeClock::new(1_000)));
+        let a = rec.span_start(stage::REQUEST, SpanId::NONE);
+        let b = rec.span_start(stage::REQUEST, SpanId::NONE);
+        let b_convert = rec.span_start(stage::CONVERT, b);
+        let a_convert = rec.span_start(stage::CONVERT, a);
+        rec.span_start(stage::TIDY, b_convert);
+        rec.span_start(stage::TIDY, a_convert);
+        let c = rec.span_start(stage::REQUEST, SpanId::NONE);
+        rec.span_start(stage::TOKENIZATION, b_convert);
+        rec.span_start(stage::CONVERT, c);
+        let doc = Json::parse(&rec.to_chrome_json()).unwrap();
+        let tids: Vec<f64> = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|e| e.get("tid").and_then(Json::as_f64).unwrap())
+            .collect();
+        assert_eq!(tids, vec![1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 3.0, 2.0, 3.0]);
     }
 
     #[test]

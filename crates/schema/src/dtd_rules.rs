@@ -137,23 +137,7 @@ struct ChildAgg {
 /// context becomes optional (required for soundness: a document following
 /// the child-free context must still validate).
 pub fn derive_dtd(schema: &MajoritySchema, corpus: &[DocPaths], config: &DtdConfig) -> Dtd {
-    derive_dtd_sharded_obs(
-        schema,
-        &[corpus.iter().collect()],
-        config,
-        webre_obs::Ctx::disabled(),
-    )
-}
-
-/// [`derive_dtd`] with observability: the derivation runs under a
-/// `derive-dtd` span. The resulting DTD is identical.
-pub fn derive_dtd_obs(
-    schema: &MajoritySchema,
-    corpus: &[DocPaths],
-    config: &DtdConfig,
-    ctx: webre_obs::Ctx<'_>,
-) -> Dtd {
-    derive_dtd_sharded_obs(schema, &[corpus.iter().collect()], config, ctx)
+    derive_dtd_sharded(schema, &[corpus.iter().collect()], config)
 }
 
 /// [`derive_dtd`] over a corpus split into shard slices.
@@ -166,22 +150,18 @@ pub fn derive_dtd_obs(
 /// group detection seeds from the *first* non-empty child sequence, so
 /// with it enabled the derived DTD depends on document order and the
 /// identity only holds when shard order is arrival order.
+///
+/// The derivation runs under a `derive-dtd` span.
 pub fn derive_dtd_sharded(
     schema: &MajoritySchema,
     shards: &[Vec<&DocPaths>],
     config: &DtdConfig,
 ) -> Dtd {
-    derive_dtd_sharded_obs(schema, shards, config, webre_obs::Ctx::disabled())
+    webre_obs::span(webre_obs::stage::DERIVE_DTD, || derive_unified(schema, shards, config))
 }
 
-/// [`derive_dtd_sharded`] with observability; the DTD is identical.
-pub fn derive_dtd_sharded_obs(
-    schema: &MajoritySchema,
-    shards: &[Vec<&DocPaths>],
-    config: &DtdConfig,
-    ctx: webre_obs::Ctx<'_>,
-) -> Dtd {
-    let _span = ctx.span(webre_obs::stage::DERIVE_DTD);
+/// The derivation itself: one content model per label.
+fn derive_unified(schema: &MajoritySchema, shards: &[Vec<&DocPaths>], config: &DtdConfig) -> Dtd {
     let mut dtd = Dtd::new(schema.root_label());
 
     // Group schema nodes by label, preserving first-seen (pre-order) order.

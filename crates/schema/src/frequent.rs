@@ -19,7 +19,7 @@ use crate::majority::{MajoritySchema, SchemaNode};
 use crate::paths::{DocPaths, LabelPath};
 use std::collections::BTreeSet;
 use webre_concepts::ConstraintSet;
-use webre_obs::{counter, stage, Ctx};
+use webre_obs::{count, counter, span, stage};
 use webre_tree::NodeId;
 
 /// The corpus interface the miner actually needs. A plain `[DocPaths]`
@@ -121,13 +121,13 @@ struct MineCounters {
 }
 
 impl MineCounters {
-    fn report(&self, ctx: Ctx<'_>) {
-        ctx.count(counter::PATHS_EXPLORED, self.explored as u64);
+    fn report(&self) {
+        count(counter::PATHS_EXPLORED, self.explored as u64);
         if self.accepted > 0 {
-            ctx.count(counter::PATHS_ACCEPTED, self.accepted as u64);
+            count(counter::PATHS_ACCEPTED, self.accepted as u64);
         }
         if self.pruned > 0 {
-            ctx.count(counter::PATHS_PRUNED, self.pruned as u64);
+            count(counter::PATHS_PRUNED, self.pruned as u64);
         }
     }
 }
@@ -143,21 +143,13 @@ impl FrequentPathMiner {
 
     /// Mines any [`CorpusView`] — the same algorithm [`mine`](Self::mine)
     /// runs, reachable for incrementally accreted corpora
-    /// ([`crate::CorpusIndex`]).
+    /// ([`crate::CorpusIndex`]). The run opens a `mine-frequent-paths`
+    /// span and reports explored/accepted/pruned candidate counts.
     pub fn mine_view(&self, corpus: &(impl CorpusView + ?Sized)) -> Option<MiningOutcome> {
-        self.mine_view_obs(corpus, Ctx::disabled())
+        span(stage::MINE, || self.mine_in_span(corpus))
     }
 
-    /// [`mine_view`](Self::mine_view) with observability: the run opens a
-    /// `mine-frequent-paths` span and reports explored/accepted/pruned
-    /// candidate counts. The mining result is identical.
-    pub fn mine_view_obs(
-        &self,
-        corpus: &(impl CorpusView + ?Sized),
-        ctx: Ctx<'_>,
-    ) -> Option<MiningOutcome> {
-        let scope = ctx.span(stage::MINE);
-        let ctx = scope.ctx();
+    fn mine_in_span(&self, corpus: &(impl CorpusView + ?Sized)) -> Option<MiningOutcome> {
         if corpus.doc_count() == 0 {
             return None;
         }
@@ -172,7 +164,7 @@ impl FrequentPathMiner {
         let root_support = root_count as f64 / corpus.doc_count() as f64;
         if root_support < self.sup_threshold {
             counters.pruned += 1;
-            counters.report(ctx);
+            counters.report();
             return None;
         }
         counters.accepted += 1;
@@ -187,7 +179,7 @@ impl FrequentPathMiner {
             root_support,
             &mut counters,
         );
-        counters.report(ctx);
+        counters.report();
         Some(MiningOutcome {
             schema,
             nodes_explored: counters.explored,

@@ -23,9 +23,7 @@ pub mod search_space;
 pub mod sharded;
 
 pub use codec::{doc_from_record, doc_to_record};
-pub use dtd_rules::{
-    derive_dtd, derive_dtd_obs, derive_dtd_sharded, derive_dtd_sharded_obs, DtdConfig,
-};
+pub use dtd_rules::{derive_dtd, derive_dtd_sharded, DtdConfig};
 pub use frequent::{CorpusView, FrequentPathMiner, MiningOutcome};
 pub use incremental::CorpusIndex;
 pub use majority::{MajoritySchema, SchemaNode};

@@ -40,17 +40,7 @@ impl Engine {
     /// Converts one HTML document to the exact pretty-printed XML text
     /// the batch CLI emits (the byte-level serve ≡ batch contract).
     pub fn convert_to_xml(&self, html: &str) -> (XmlDocument, ConvertStats, String) {
-        self.convert_to_xml_obs(html, webre_obs::Ctx::disabled())
-    }
-
-    /// [`Engine::convert_to_xml`] with observability; the output is
-    /// identical.
-    pub fn convert_to_xml_obs(
-        &self,
-        html: &str,
-        ctx: webre_obs::Ctx<'_>,
-    ) -> (XmlDocument, ConvertStats, String) {
-        let (doc, stats) = self.converter.convert_str_obs(html, ctx);
+        let (doc, stats) = self.converter.convert_str(html);
         let text = webre_xml::to_xml_pretty(&doc);
         (doc, stats, text)
     }

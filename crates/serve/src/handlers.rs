@@ -16,7 +16,6 @@ use crate::state::LiveCorpus;
 use std::sync::atomic::{AtomicBool, Ordering};
 use webre_convert::ConvertStats;
 use webre_map::{MapPlanner, MapTier};
-use webre_obs::{stage, Ctx};
 use webre_schema::extract_paths;
 use webre_substrate::http::{Request, Response};
 use webre_substrate::json::{Json, ToJson};
@@ -47,17 +46,18 @@ impl App {
     /// Fresh state for `workers` worker threads and a `cache_cap`-entry
     /// cache.
     pub fn new(engine: Engine, cache_cap: usize, workers: usize) -> Self {
-        App::with_obs(engine, cache_cap, workers, ObsLayer::default())
+        App::with_corpus(
+            engine,
+            cache_cap,
+            workers,
+            ObsLayer::default(),
+            LiveCorpus::new(),
+        )
     }
 
-    /// [`App::new`] with an explicit observability layer (the server
-    /// passes a tracing layer when started with a trace recorder).
-    pub fn with_obs(engine: Engine, cache_cap: usize, workers: usize, obs: ObsLayer) -> Self {
-        App::with_corpus(engine, cache_cap, workers, obs, LiveCorpus::new())
-    }
-
-    /// [`App::with_obs`] over an explicit corpus — the server passes a
-    /// sharded (and possibly durable, WAL-replayed) [`LiveCorpus`].
+    /// [`App::new`] with an explicit observability layer and corpus — the
+    /// server passes a tracing layer when started with a trace recorder,
+    /// and a sharded (possibly durable, WAL-replayed) [`LiveCorpus`].
     pub fn with_corpus(
         engine: Engine,
         cache_cap: usize,
@@ -111,26 +111,21 @@ impl Routed {
 }
 
 /// Dispatches one parsed request. Infallible by contract: every error
-/// becomes a status-coded response.
+/// becomes a status-coded response. Pipeline stages the handlers invoke
+/// record spans and counters into whatever context the caller installed
+/// (the worker pool installs the server's recorder and opens a
+/// per-request span); the response does not depend on it.
 pub fn handle(app: &App, request: &Request) -> Response {
-    handle_obs(app, request, Ctx::disabled())
+    dispatch(app, request, None)
 }
 
-/// [`handle`] with observability: pipeline stages invoked by the
-/// handlers record spans and counters under `ctx` (the worker pool
-/// passes a context parented at the per-request span). The response is
-/// identical.
-pub fn handle_obs(app: &App, request: &Request, ctx: Ctx<'_>) -> Response {
-    dispatch(app, request, None, ctx)
-}
-
-/// [`handle_obs`] for a request the event loop already triaged: a
+/// [`handle`] for a request the event loop already triaged: a
 /// `/convert` reuses the loop's body hash as its cache key.
-pub(crate) fn handle_routed(app: &App, routed: &Routed, ctx: Ctx<'_>) -> Response {
-    dispatch(app, &routed.request, routed.convert_key, ctx)
+pub(crate) fn handle_routed(app: &App, routed: &Routed) -> Response {
+    dispatch(app, &routed.request, routed.convert_key)
 }
 
-fn dispatch(app: &App, request: &Request, convert_key: Option<u64>, ctx: Ctx<'_>) -> Response {
+fn dispatch(app: &App, request: &Request, convert_key: Option<u64>) -> Response {
     let resolved = match route(&request.method, request.path()) {
         Ok(route) => route,
         Err(response) => return response,
@@ -138,14 +133,14 @@ fn dispatch(app: &App, request: &Request, convert_key: Option<u64>, ctx: Ctx<'_>
     match resolved {
         Route::Convert => {
             let key = convert_key.unwrap_or_else(|| content_hash(&request.body));
-            convert(app, &request.body, key, ctx)
+            convert(app, &request.body, key)
         }
-        Route::Map => map(app, &request.body, ctx),
-        Route::CorpusDocs => corpus_docs(app, &request.body, ctx),
+        Route::Map => map(app, &request.body),
+        Route::CorpusDocs => corpus_docs(app, &request.body),
         Route::CorpusXml => corpus_xml(app, &request.body),
         Route::CorpusTable => corpus_table(app),
-        Route::Schema => schema(app, false, ctx),
-        Route::SchemaDtd => schema(app, true, ctx),
+        Route::Schema => schema(app, false),
+        Route::SchemaDtd => schema(app, true),
         Route::Metrics => metrics(app),
         Route::Healthz => Response::text(200, "ok\n"),
         Route::Shutdown => shutdown(app),
@@ -175,12 +170,12 @@ pub fn fast_eligible(app: &App, routed: &mut Routed) -> bool {
 
 /// `POST /convert`: HTML → pretty-printed concept-tagged XML, through
 /// the content-hash cache; `key` is the body's [`content_hash`].
-fn convert(app: &App, body: &[u8], key: u64, ctx: Ctx<'_>) -> Response {
+fn convert(app: &App, body: &[u8], key: u64) -> Response {
     if let Some(cached) = app.cache.get(key) {
         return Response::xml(200, cached.as_str()).with_header("x-cache", "hit");
     }
     let html = String::from_utf8_lossy(body);
-    let (_, _, mut xml) = app.engine.convert_to_xml_obs(&html, ctx);
+    let (_, _, mut xml) = app.engine.convert_to_xml(&html);
     // The cache keeps up to `cache_cap` documents; drop the growth slack.
     xml.shrink_to_fit();
     let xml = std::sync::Arc::new(xml);
@@ -204,8 +199,8 @@ fn json_response(status: u16, body: impl Into<String>) -> Response {
 /// success (cached per corpus version), 422 when the edit cost exceeds
 /// the configured budget (cheap to recompute, so never cached), 404
 /// while no schema exists.
-fn map(app: &App, body: &[u8], ctx: Ctx<'_>) -> Response {
-    let snapshot = app.corpus.snapshot_obs(&app.engine, ctx);
+fn map(app: &App, body: &[u8]) -> Response {
+    let snapshot = app.corpus.snapshot(&app.engine);
     let Some((schema, dtd)) = snapshot.mapping.as_ref() else {
         return Response::text(
             404,
@@ -221,15 +216,12 @@ fn map(app: &App, body: &[u8], ctx: Ctx<'_>) -> Response {
         return json_response(200, cached.as_str()).with_header("x-cache", "hit");
     }
     let html = String::from_utf8_lossy(body);
-    let (doc, _) = app.engine.converter.convert_str_obs(&html, ctx);
+    let (doc, _) = app.engine.converter.convert_str(&html);
     let planner = MapPlanner {
         budget: app.map_budget,
         ..MapPlanner::default()
     };
-    let planned = {
-        let scope = ctx.span(stage::MAP);
-        planner.plan_obs(&doc, schema, dtd, scope.ctx())
-    };
+    let planned = planner.plan(&doc, schema, dtd);
     let json = format!("{}\n", webre_map::render_json(&planned, app.map_budget));
     if planned.tier == MapTier::Rejected {
         return json_response(422, json).with_header("x-cache", "miss");
@@ -240,11 +232,11 @@ fn map(app: &App, body: &[u8], ctx: Ctx<'_>) -> Response {
 }
 
 /// `POST /corpus/docs`: convert, then accrete into the live corpus.
-fn corpus_docs(app: &App, body: &[u8], ctx: Ctx<'_>) -> Response {
+fn corpus_docs(app: &App, body: &[u8]) -> Response {
     let html = String::from_utf8_lossy(body);
     // Conversion (the fallible, slow part) happens before the corpus
     // lock inside `accrete` is ever taken.
-    let (doc, stats) = app.engine.converter.convert_str_obs(&html, ctx);
+    let (doc, stats) = app.engine.converter.convert_str(&html);
     accreted(app.corpus.accrete(&doc, &stats))
 }
 
@@ -297,8 +289,8 @@ fn corpus_table(app: &App) -> Response {
 }
 
 /// `GET /schema` and `GET /schema/dtd`: the current snapshot.
-fn schema(app: &App, dtd: bool, ctx: Ctx<'_>) -> Response {
-    let snapshot = app.corpus.snapshot_obs(&app.engine, ctx);
+fn schema(app: &App, dtd: bool) -> Response {
+    let snapshot = app.corpus.snapshot(&app.engine);
     let text = if dtd {
         &snapshot.dtd_text
     } else {

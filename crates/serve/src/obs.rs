@@ -64,13 +64,12 @@ impl Default for ObsLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webre_obs::{stage, Ctx};
+    use webre_obs::{scoped, span, stage, Ctx};
 
     #[test]
     fn layer_without_trace_records_into_stats() {
         let layer = ObsLayer::new(None);
-        let ctx = Ctx::new(layer.recorder());
-        drop(ctx.span(stage::REQUEST));
+        scoped(Ctx::new(layer.recorder()), || span(stage::REQUEST, || {}));
         assert_eq!(layer.stats().spans_total(stage::REQUEST), Some(1));
         assert!(layer.trace().is_none());
     }
@@ -80,8 +79,7 @@ mod tests {
         use webre_obs::clock::FakeClock;
         let trace = Arc::new(TraceRecorder::new(Box::new(FakeClock::new(1_000))));
         let layer = ObsLayer::new(Some(Arc::clone(&trace)));
-        let ctx = Ctx::new(layer.recorder());
-        drop(ctx.span(stage::REQUEST));
+        scoped(Ctx::new(layer.recorder()), || span(stage::REQUEST, || {}));
         assert_eq!(layer.stats().spans_total(stage::REQUEST), Some(1));
         assert_eq!(trace.spans().len(), 1);
         assert_eq!(trace.spans()[0].name, stage::REQUEST);

@@ -29,7 +29,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use webre_obs::{stage, Ctx};
+use webre_obs::{scoped, span, stage, Ctx};
 use webre_substrate::http::{write_response, HttpError, Response};
 use webre_substrate::sync::Receiver;
 
@@ -243,9 +243,9 @@ pub(crate) fn execute(
     // panicking handler still ends its span during unwinding and the
     // span tally matches `requests_total` exactly.
     let (endpoint, response) = match catch_unwind(AssertUnwindSafe(|| {
-        let ctx = Ctx::new(app.obs.recorder());
-        let scope = ctx.span(stage::REQUEST);
-        handle_routed(app, routed, scope.ctx())
+        scoped(Ctx::new(app.obs.recorder()), || {
+            span(stage::REQUEST, || handle_routed(app, routed))
+        })
     })) {
         Ok(response) => {
             let endpoint = crate::router::route(&request.method, request.path())

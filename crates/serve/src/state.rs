@@ -35,9 +35,9 @@ use crate::persist::CorpusStore;
 use std::io;
 use std::sync::{Arc, RwLock};
 use webre_convert::ConvertStats;
-use webre_obs::Ctx;
+use webre_obs::{scoped, Ctx};
 use webre_schema::{
-    derive_dtd_sharded_obs, doc_to_record, extract_paths, DocPaths, MajoritySchema, PathTable,
+    derive_dtd_sharded, doc_to_record, extract_paths, DocPaths, MajoritySchema, PathTable,
     ShardedCorpus,
 };
 use webre_substrate::wal::checksum;
@@ -153,15 +153,9 @@ impl LiveCorpus {
     }
 
     /// The current snapshot, recomputing at most once per corpus version.
+    /// A recompute records mining and DTD-derivation spans; cache hits
+    /// record nothing.
     pub fn snapshot(&self, engine: &Engine) -> Arc<Snapshot> {
-        self.snapshot_obs(engine, Ctx::disabled())
-    }
-
-    /// [`LiveCorpus::snapshot`] with observability: a recompute (at most
-    /// one per corpus version) records mining and DTD-derivation spans
-    /// through `ctx`; cache hits record nothing. The snapshot is
-    /// identical.
-    pub fn snapshot_obs(&self, engine: &Engine, ctx: Ctx<'_>) -> Arc<Snapshot> {
         if let Some(snapshot) = self.read().snapshot.clone() {
             return snapshot;
         }
@@ -170,15 +164,13 @@ impl LiveCorpus {
         if let Some(snapshot) = inner.snapshot.clone() {
             return snapshot;
         }
-        let (schema_text, dtd_text, mapping) = match engine.miner.mine_view_obs(&inner.corpus, ctx)
-        {
+        let (schema_text, dtd_text, mapping) = match engine.miner.mine_view(&inner.corpus) {
             None => (None, None, None),
             Some(outcome) => {
-                let dtd = derive_dtd_sharded_obs(
+                let dtd = derive_dtd_sharded(
                     &outcome.schema,
                     &inner.corpus.docs_by_shard(),
                     &engine.dtd_config,
-                    ctx,
                 );
                 (
                     Some(outcome.schema.render()),
@@ -196,6 +188,13 @@ impl LiveCorpus {
         });
         inner.snapshot = Some(Arc::clone(&snapshot));
         snapshot
+    }
+
+    /// [`LiveCorpus::snapshot`] with `ctx` installed around it. Kept
+    /// because the repository benchmark (`perfbench/`, outside the
+    /// workspace), which may not change, calls it by this name.
+    pub fn snapshot_obs(&self, engine: &Engine, ctx: Ctx<'_>) -> Arc<Snapshot> {
+        scoped(ctx, || self.snapshot(engine))
     }
 
     /// The merged frequent-path table with the version and doc count it

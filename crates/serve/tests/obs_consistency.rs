@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use webre_obs::clock::MonotonicClock;
 use webre_obs::trace::TraceRecorder;
-use webre_obs::{stage, Ctx};
+use webre_obs::{scoped, span, stage, Ctx};
 use webre_serve::obs::ObsLayer;
 use webre_serve::server::{ServeConfig, Server};
 use webre_serve::Engine;
@@ -160,7 +160,7 @@ fn in_flight_metrics_request_is_excluded_from_both_tallies() {
     // renders while its own span is still open, so a fresh app reports
     // zero request spans — the exclusion that makes the equality above
     // exact rather than off-by-one.
-    use webre_serve::handlers::{handle_obs, App};
+    use webre_serve::handlers::{handle, App};
     let app = App::new(Engine::resume_domain(), 16, 1);
     let request = webre_substrate::http::Request {
         method: "GET".into(),
@@ -168,10 +168,9 @@ fn in_flight_metrics_request_is_excluded_from_both_tallies() {
         headers: Vec::new(),
         body: Vec::new(),
     };
-    let ctx = Ctx::new(app.obs.recorder());
-    let scope = ctx.span(stage::REQUEST);
-    let response = handle_obs(&app, &request, scope.ctx());
-    drop(scope);
+    let response = scoped(Ctx::new(app.obs.recorder()), || {
+        span(stage::REQUEST, || handle(&app, &request))
+    });
     let text = String::from_utf8(response.body).unwrap();
     assert!(
         !text.contains("pipeline_spans_total{stage=\"request\"}"),

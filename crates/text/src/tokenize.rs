@@ -61,25 +61,6 @@ impl Delimiters {
 /// ]);
 /// ```
 pub fn split_tokens(text: &str, delims: &Delimiters) -> Vec<String> {
-    split_tokens_obs(text, delims, webre_obs::Ctx::disabled())
-}
-
-/// [`split_tokens`] with observability: reports every produced token to
-/// the context's `tokens_split` counter. The token output is identical —
-/// the counter ride-along never influences splitting.
-pub fn split_tokens_obs(
-    text: &str,
-    delims: &Delimiters,
-    ctx: webre_obs::Ctx<'_>,
-) -> Vec<String> {
-    let tokens = split_tokens_impl(text, delims);
-    if !tokens.is_empty() {
-        ctx.count(webre_obs::counter::TOKENS_SPLIT, tokens.len() as u64);
-    }
-    tokens
-}
-
-fn split_tokens_impl(text: &str, delims: &Delimiters) -> Vec<String> {
     split_token_spans(text, delims)
         .into_iter()
         .map(|(start, end)| text[start..end].to_owned())

@@ -164,6 +164,23 @@ trap - EXIT
 rm -rf "$trace_dir"
 echo "    trace export, stats summary and trace-noop oracle all verified"
 
+echo "==> perfbench gate (the repository benchmark builds and self-tests unmodified)"
+# perfbench is a Cargo package of its own (own workspace and lock) and the
+# one consumer outside the workspace whose calls pin public names and
+# signatures (the rule functions, MapPlanner::plan,
+# LiveCorpus::snapshot_obs, ...). Nothing else here builds it. Cargo
+# rewrites perfbench/Cargo.lock when a workspace crate's internal
+# dependencies change, so the committed lock is put back afterwards and
+# the gate leaves perfbench/ as it found it.
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+trap 'cp "$perfbench_lock" perfbench/Cargo.lock; rm -f "$perfbench_lock"' EXIT
+CARGO_TARGET_DIR=target/perfbench \
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cp "$perfbench_lock" perfbench/Cargo.lock
+trap - EXIT
+rm -f "$perfbench_lock"
+
 echo "==> dependency guard (Cargo.lock must contain only workspace crates)"
 # Registry/git dependencies carry a `source = ...` line in Cargo.lock;
 # path-only workspace members never do.

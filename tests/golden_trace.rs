@@ -19,7 +19,7 @@ use std::path::PathBuf;
 
 use webre::obs::clock::FakeClock;
 use webre::obs::trace::TraceRecorder;
-use webre::obs::{stage, Ctx};
+use webre::obs::{scoped, stage, Ctx};
 use webre::Pipeline;
 
 fn fixture_dir() -> PathBuf {
@@ -53,7 +53,7 @@ fn traced_conversion() -> TraceRecorder {
         .expect("resume_clean fixture exists");
     let recorder = TraceRecorder::new(Box::new(FakeClock::new(1_000)));
     let pipeline = Pipeline::resume_domain();
-    pipeline.convert_html_obs(&html, Ctx::new(&recorder));
+    scoped(Ctx::new(&recorder), || pipeline.convert_html(&html));
     recorder
 }
 
