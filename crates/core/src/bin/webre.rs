@@ -2,16 +2,21 @@
 //!
 //! ```text
 //! webre convert  <file.html>...  [--domain d.json] [--root NAME] [--compact] [--stats]
-//! webre discover <file.html>...  [--domain d.json] [--sup F] [--ratio F] [--group-patterns]
-//! webre run      <file.html>...  [--domain d.json] [--sup F] [--ratio F] --out-dir DIR
-//! webre map      <file.html>...  [--budget N] [--no-filter] [--json] [--out-dir DIR]
+//! webre discover <file.html>...  [--domain d.json] [--root NAME] [--sup F] [--ratio F]
+//!                [--group-patterns] [--trace-out FILE]
+//! webre run      <file.html>...  [--domain d.json] [--root NAME] [--sup F] [--ratio F]
+//!                [--group-patterns] --out-dir DIR [--trace-out FILE]
+//! webre map      <file.html>...  [--domain d.json] [--root NAME] [--sup F] [--ratio F]
+//!                [--group-patterns] [--budget N] [--no-filter] [--json] [--out-dir DIR] ...
 //! webre serve    [--addr HOST:PORT] [--workers N] [--data-dir DIR] [--shards N] ...
+//! webre load     [--addr HOST:PORT] [--connections N] [--loris N] [--duration SECS] ...
 //! webre scale    [--instances K] [--docs N] [--data-dir DIR] ...
 //! webre stats    <trace.json>...
 //! webre validate <file.xml>...   --dtd <file.dtd>
 //! webre generate --count N [--seed S] --out-dir DIR
 //! webre check    [--seed S] [--iters N] [--only ORACLE]
 //! webre lint     [PATHS]... [--deny-warnings] [--only RULE] [--format text|json]
+//!                [--root DIR] [--list-rules]
 //! ```
 //!
 //! `convert` prints concept-tagged XML for each input; `discover` prints
@@ -21,7 +26,10 @@
 //! Zhang–Shasha) over each input against the schema mined from the whole
 //! batch, printing one summary (or, with `--json`, exactly the JSON
 //! document `POST /map` serves) per input; `serve`
-//! exposes the pipeline over HTTP (see `webre-serve`); `scale` spawns a
+//! exposes the pipeline over HTTP (see `webre-serve`); `load` drives
+//! fault-injecting traffic (hot, cold, slow-loris, oversized, abrupt)
+//! at a spawned `webre serve` child, or at `--addr`, and enforces its
+//! liveness postconditions; `scale` spawns a
 //! fleet of `webre serve` child processes, routes a synthetic XML stream
 //! across them with a consistent-hash ring, and proves at every
 //! checkpoint that the merged per-instance path tables equal a locally
@@ -38,7 +46,7 @@
 //! (or explicit paths) and, under `--deny-warnings`, fails the build on
 //! any finding.
 //!
-//! `discover`, `run`, and `serve` accept `--trace-out FILE`: the whole
+//! `discover`, `run`, `map`, and `serve` accept `--trace-out FILE`: the whole
 //! run records hierarchical pipeline spans into a trace recorder and
 //! writes a chrome://tracing-compatible JSON file on completion (for
 //! `serve`, after drain). Tracing never changes output — `webre check
@@ -71,18 +79,6 @@ fn main() -> ExitCode {
         return exit_usage();
     };
     let result = match command.as_str() {
-        "convert" => cmd_convert(rest),
-        "discover" => cmd_discover(rest),
-        "run" => cmd_run(rest),
-        "map" => cmd_map(rest),
-        "serve" => cmd_serve(rest),
-        "load" => cmd_load(rest),
-        "scale" => cmd_scale(rest),
-        "stats" => cmd_stats(rest),
-        "validate" => cmd_validate(rest),
-        "generate" => cmd_generate(rest),
-        "check" => cmd_check(rest),
-        "lint" => cmd_lint(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -91,7 +87,10 @@ fn main() -> ExitCode {
             println!("webre {}", env!("CARGO_PKG_VERSION"));
             return ExitCode::SUCCESS;
         }
-        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
+        name => match COMMANDS.iter().find(|(command, ..)| *command == name) {
+            Some(&(_, flags, run)) => parse_flags(rest, flags).and_then(|parsed| run(&parsed)),
+            None => Err(CliError::Usage(format!("unknown command {name:?}"))),
+        },
     };
     match result {
         Ok(code) => code,
@@ -113,21 +112,31 @@ fn exit_usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// A batch that finished but skipped or failed `failures` inputs exits 1.
+fn exit_for(failures: usize) -> ExitCode {
+    if failures == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 const USAGE: &str = "\
 usage:
   webre convert  <file.html>...  [--domain d.json] [--root NAME] [--compact] [--stats]
-  webre discover <file.html>...  [--domain d.json] [--sup F] [--ratio F] [--group-patterns]
+  webre discover <file.html>...  [--domain d.json] [--root NAME] [--sup F] [--ratio F]
+                 [--group-patterns] [--trace-out FILE]
+  webre run      <file.html>...  [--domain d.json] [--root NAME] [--sup F] [--ratio F]
+                 [--group-patterns] --out-dir DIR [--trace-out FILE]
+  webre map      <file.html>...  [--domain d.json] [--root NAME] [--sup F] [--ratio F]
+                 [--group-patterns] [--budget N] [--no-filter] [--json] [--out-dir DIR]
                  [--trace-out FILE]
-  webre run      <file.html>...  [--domain d.json] [--sup F] [--ratio F] --out-dir DIR
-                 [--trace-out FILE]
-  webre map      <file.html>...  [--domain d.json] [--sup F] [--ratio F] [--budget N]
-                 [--no-filter] [--json] [--out-dir DIR] [--trace-out FILE]
   webre serve    [--addr HOST:PORT] [--workers N] [--cache-cap N] [--queue-cap N]
                  [--max-body BYTES] [--deadline-ms N] [--read-timeout-ms N]
                  [--idle-timeout-ms N] [--write-timeout-ms N] [--data-dir DIR]
                  [--shards N] [--fsync-every N] [--compact-min N] [--map-budget N]
                  [--domain d.json] [--root NAME] [--sup F] [--ratio F]
-                 [--trace-out FILE]
+                 [--group-patterns] [--trace-out FILE]
   webre load     [--addr HOST:PORT] [--connections N] [--loris N] [--duration SECS]
                  [--workers N] [--queue-cap N] [--cache-cap N] [--deadline-ms N]
                  [--read-timeout-ms N] [--idle-timeout-ms N] [--bench-out FILE]
@@ -157,20 +166,111 @@ fn runtime_err(message: impl Into<String>) -> CliError {
     CliError::Runtime(message.into())
 }
 
+/// The flags a command accepts: those taking a value, then switches.
+type Flags = (&'static [&'static str], &'static [&'static str]);
+
+const CONVERT_FLAGS: Flags = (&["domain", "root"], &["compact", "stats"]);
+const DISCOVER_FLAGS: Flags = (
+    &["domain", "root", "sup", "ratio", "trace-out"],
+    &["group-patterns"],
+);
+const RUN_FLAGS: Flags = (
+    &["domain", "root", "sup", "ratio", "out-dir", "trace-out"],
+    &["group-patterns"],
+);
+const MAP_FLAGS: Flags = (
+    &["domain", "root", "sup", "ratio", "budget", "out-dir", "trace-out"],
+    &["group-patterns", "no-filter", "json"],
+);
+const SERVE_FLAGS: Flags = (
+    &[
+        "addr",
+        "workers",
+        "cache-cap",
+        "queue-cap",
+        "max-body",
+        "deadline-ms",
+        "read-timeout-ms",
+        "idle-timeout-ms",
+        "write-timeout-ms",
+        "data-dir",
+        "shards",
+        "fsync-every",
+        "compact-min",
+        "map-budget",
+        "domain",
+        "root",
+        "sup",
+        "ratio",
+        "trace-out",
+    ],
+    &["group-patterns"],
+);
+const LOAD_FLAGS: Flags = (
+    &[
+        "addr",
+        "connections",
+        "loris",
+        "duration",
+        "workers",
+        "queue-cap",
+        "cache-cap",
+        "deadline-ms",
+        "read-timeout-ms",
+        "idle-timeout-ms",
+        "bench-out",
+    ],
+    &[],
+);
+const SCALE_FLAGS: Flags = (
+    &[
+        "instances",
+        "docs",
+        "seed",
+        "batch",
+        "checkpoints",
+        "data-dir",
+        "shards",
+        "workers",
+    ],
+    &[],
+);
+const STATS_FLAGS: Flags = (&[], &[]);
+const VALIDATE_FLAGS: Flags = (&["dtd"], &[]);
+const GENERATE_FLAGS: Flags = (&["count", "seed", "out-dir"], &[]);
+const CHECK_FLAGS: Flags = (&["seed", "iters", "only"], &[]);
+const LINT_FLAGS: Flags = (&["only", "format", "root"], &["deny-warnings", "list-rules"]);
+
+/// The body of a subcommand, run over its parsed flags.
+type Command = fn(&Parsed) -> Result<ExitCode, CliError>;
+
+/// Every subcommand with the flags it accepts; `main` dispatches through
+/// this table and the unit tests check it against `USAGE`.
+const COMMANDS: &[(&str, Flags, Command)] = &[
+    ("convert", CONVERT_FLAGS, cmd_convert),
+    ("discover", DISCOVER_FLAGS, cmd_discover),
+    ("run", RUN_FLAGS, cmd_run),
+    ("map", MAP_FLAGS, cmd_map),
+    ("serve", SERVE_FLAGS, cmd_serve),
+    ("load", LOAD_FLAGS, cmd_load),
+    ("scale", SCALE_FLAGS, cmd_scale),
+    ("stats", STATS_FLAGS, cmd_stats),
+    ("validate", VALIDATE_FLAGS, cmd_validate),
+    ("generate", GENERATE_FLAGS, cmd_generate),
+    ("check", CHECK_FLAGS, cmd_check),
+    ("lint", LINT_FLAGS, cmd_lint),
+];
+
 /// Minimal flag parser: returns (positional, flag-values, flag-switches).
-/// Flags outside `value_flags` ∪ `switch_flags` are usage errors, so a
-/// typo like `--suport 0.4` fails loudly instead of being ignored.
+/// Flags outside the command's [`Flags`] are usage errors, so a typo
+/// like `--suport 0.4` fails loudly instead of being ignored.
 struct Parsed {
     positional: Vec<String>,
     values: Vec<(String, String)>,
     switches: Vec<String>,
 }
 
-fn parse_flags(
-    args: &[String],
-    value_flags: &[&str],
-    switch_flags: &[&str],
-) -> Result<Parsed, CliError> {
+fn parse_flags(args: &[String], (value_flags, switch_flags): Flags) -> Result<Parsed, CliError> {
     let mut out = Parsed {
         positional: Vec::new(),
         values: Vec::new(),
@@ -197,6 +297,17 @@ fn parse_flags(
 }
 
 impl Parsed {
+    /// Rejects positional arguments for a `command` that takes none.
+    fn no_positional(&self, command: &str) -> Result<(), CliError> {
+        if self.positional.is_empty() {
+            return Ok(());
+        }
+        Err(usage_err(format!(
+            "{command} takes no positional arguments, got {:?}",
+            self.positional
+        )))
+    }
+
     fn value(&self, name: &str) -> Option<&str> {
         self.values
             .iter()
@@ -326,12 +437,11 @@ fn pipeline_from(parsed: &Parsed) -> Result<Pipeline, CliError> {
     Ok(pipeline)
 }
 
-fn cmd_convert(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(args, &["domain", "root"], &["compact", "stats"])?;
+fn cmd_convert(parsed: &Parsed) -> Result<ExitCode, CliError> {
     if parsed.positional.is_empty() {
         return Err(usage_err("convert needs at least one input file"));
     }
-    let pipeline = pipeline_from(&parsed)?;
+    let pipeline = pipeline_from(parsed)?;
     for path in &parsed.positional {
         let html = read(path)?;
         let (xml, stats) = pipeline.convert_html(&html);
@@ -353,17 +463,12 @@ fn cmd_convert(args: &[String]) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_discover(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(
-        args,
-        &["domain", "root", "sup", "ratio", "trace-out"],
-        &["group-patterns"],
-    )?;
+fn cmd_discover(parsed: &Parsed) -> Result<ExitCode, CliError> {
     if parsed.positional.is_empty() {
         return Err(usage_err("discover needs at least one input file"));
     }
-    let pipeline = pipeline_from(&parsed)?;
-    let (discovery, failures) = traced(&parsed, || {
+    let pipeline = pipeline_from(parsed)?;
+    let (discovery, failures) = traced(parsed, || {
         let (_, docs, failures) = convert_inputs(&pipeline, &parsed.positional)?;
         let discovery = pipeline
             .discover_schema(&docs)
@@ -375,19 +480,10 @@ fn cmd_discover(args: &[String]) -> Result<ExitCode, CliError> {
     println!();
     println!("derived DTD:");
     print!("{}", discovery.dtd.to_dtd_string());
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_for(failures))
 }
 
-fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(
-        args,
-        &["domain", "root", "sup", "ratio", "out-dir", "trace-out"],
-        &["group-patterns"],
-    )?;
+fn cmd_run(parsed: &Parsed) -> Result<ExitCode, CliError> {
     if parsed.positional.is_empty() {
         return Err(usage_err("run needs at least one input file"));
     }
@@ -398,8 +494,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
     );
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| runtime_err(format!("cannot create out dir: {e}")))?;
-    let pipeline = pipeline_from(&parsed)?;
-    let (written, conforming, failures) = traced(&parsed, || {
+    let pipeline = pipeline_from(parsed)?;
+    let (written, conforming, failures) = traced(parsed, || {
         let (survivors, docs, failures) = convert_inputs(&pipeline, &parsed.positional)?;
         let discovery = pipeline
             .discover_schema(&docs)
@@ -429,11 +525,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
     if failures > 0 {
         eprintln!("{failures} input(s) skipped due to read errors");
     }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_for(failures))
 }
 
 /// An optional `u32` edit-cost budget flag (absent means "no budget").
@@ -446,12 +538,7 @@ fn budget_flag(parsed: &Parsed, name: &str) -> Result<Option<u32>, CliError> {
     }
 }
 
-fn cmd_map(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(
-        args,
-        &["domain", "root", "sup", "ratio", "budget", "out-dir", "trace-out"],
-        &["group-patterns", "no-filter", "json"],
-    )?;
+fn cmd_map(parsed: &Parsed) -> Result<ExitCode, CliError> {
     if parsed.positional.is_empty() {
         return Err(usage_err("map needs at least one input file"));
     }
@@ -460,14 +547,14 @@ fn cmd_map(args: &[String]) -> Result<ExitCode, CliError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| runtime_err(format!("cannot create out dir: {e}")))?;
     }
-    let budget = budget_flag(&parsed, "budget")?;
+    let budget = budget_flag(parsed, "budget")?;
     let planner = webre::map::MapPlanner {
         budget,
         filter: !parsed.switch("no-filter"),
         ..webre::map::MapPlanner::default()
     };
-    let pipeline = pipeline_from(&parsed)?;
-    let failures = traced(&parsed, || {
+    let pipeline = pipeline_from(parsed)?;
+    let failures = traced(parsed, || {
         let (survivors, docs, failures) = convert_inputs(&pipeline, &parsed.positional)?;
         let discovery = pipeline
             .discover_schema(&docs)
@@ -508,45 +595,11 @@ fn cmd_map(args: &[String]) -> Result<ExitCode, CliError> {
     if failures > 0 {
         eprintln!("{failures} input(s) skipped due to read errors");
     }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_for(failures))
 }
 
-fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(
-        args,
-        &[
-            "addr",
-            "workers",
-            "cache-cap",
-            "queue-cap",
-            "max-body",
-            "deadline-ms",
-            "read-timeout-ms",
-            "idle-timeout-ms",
-            "write-timeout-ms",
-            "data-dir",
-            "shards",
-            "fsync-every",
-            "compact-min",
-            "map-budget",
-            "domain",
-            "root",
-            "sup",
-            "ratio",
-            "trace-out",
-        ],
-        &["group-patterns"],
-    )?;
-    if !parsed.positional.is_empty() {
-        return Err(usage_err(format!(
-            "serve takes no positional arguments, got {:?}",
-            parsed.positional
-        )));
-    }
+fn cmd_serve(parsed: &Parsed) -> Result<ExitCode, CliError> {
+    parsed.no_positional("serve")?;
     let defaults = ServeConfig::default();
     let ms = |parsed: &Parsed, name: &str, default: std::time::Duration| {
         Ok::<_, CliError>(std::time::Duration::from_millis(
@@ -562,9 +615,9 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
         queue_cap: parsed.uint("queue-cap", defaults.queue_cap)?.max(1),
         cache_cap: parsed.uint("cache-cap", defaults.cache_cap)?,
         max_body: parsed.uint("max-body", defaults.max_body)?,
-        read_timeout: ms(&parsed, "read-timeout-ms", defaults.read_timeout)?,
-        idle_timeout: ms(&parsed, "idle-timeout-ms", defaults.idle_timeout)?,
-        write_timeout: ms(&parsed, "write-timeout-ms", defaults.write_timeout)?,
+        read_timeout: ms(parsed, "read-timeout-ms", defaults.read_timeout)?,
+        idle_timeout: ms(parsed, "idle-timeout-ms", defaults.idle_timeout)?,
+        write_timeout: ms(parsed, "write-timeout-ms", defaults.write_timeout)?,
         // 0 (the default) disables deadline shedding entirely.
         deadline: match parsed.uint("deadline-ms", 0)? {
             0 => None,
@@ -574,9 +627,9 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
         shards: parsed.uint("shards", defaults.shards)?.max(1),
         sync_every: parsed.uint("fsync-every", defaults.sync_every)?.max(1),
         compact_min: parsed.uint("compact-min", defaults.compact_min)?.max(1),
-        map_budget: budget_flag(&parsed, "map-budget")?,
+        map_budget: budget_flag(parsed, "map-budget")?,
     };
-    let pipeline = pipeline_from(&parsed)?;
+    let pipeline = pipeline_from(parsed)?;
     let workers = config.workers;
     // A traced server tees every request's span tree into this recorder;
     // the export happens after drain so the file captures the full run.
@@ -603,11 +656,11 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
 
 // --- webre load: fault-injecting load harness ------------------------
 
-/// Kills the spawned server on drop (normal exit or error unwind) so a
-/// failed load run never leaks a listening process.
-struct LoadChild(std::process::Child);
+/// Kills and reaps a child process on drop (normal exit or error
+/// unwind), so a failed run never leaks a listening process.
+struct KillOnDrop(std::process::Child);
 
-impl Drop for LoadChild {
+impl Drop for KillOnDrop {
     fn drop(&mut self) {
         // webre::allow(dropped-result): best-effort teardown; the child may already be gone
         let _ = self.0.kill();
@@ -616,49 +669,40 @@ impl Drop for LoadChild {
     }
 }
 
-/// Spawns a `webre serve` child tuned for the load run and returns it
-/// with its parsed address.
-fn spawn_load_server(
-    workers: usize,
-    queue_cap: usize,
-    cache_cap: usize,
-    deadline_ms: usize,
-    read_timeout_ms: usize,
-    idle_timeout_ms: usize,
-) -> Result<(LoadChild, String), CliError> {
+/// A spawned `webre serve` child. Its stdout pipe stays open for the
+/// child's lifetime, so its drain banner never hits a closed pipe.
+struct ServeChild {
+    process: KillOnDrop,
+    _stdout: std::io::BufReader<std::process::ChildStdout>,
+    /// `HOST:PORT` from the "serving on http://HOST:PORT" banner.
+    addr: String,
+}
+
+/// Spawns `exe serve --addr 127.0.0.1:0 extra_args…` and reads the
+/// ephemeral address from its banner.
+fn spawn_serve<S: AsRef<std::ffi::OsStr>>(
+    exe: &Path,
+    extra_args: impl IntoIterator<Item = S>,
+) -> Result<ServeChild, CliError> {
     use std::io::BufRead;
-    let exe = std::env::current_exe()
-        .map_err(|e| runtime_err(format!("cannot locate own executable: {e}")))?;
-    let mut child = std::process::Command::new(&exe)
-        .arg("serve")
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--workers")
-        .arg(workers.to_string())
-        .arg("--queue-cap")
-        .arg(queue_cap.to_string())
-        .arg("--cache-cap")
-        .arg(cache_cap.to_string())
-        .arg("--deadline-ms")
-        .arg(deadline_ms.to_string())
-        .arg("--read-timeout-ms")
-        .arg(read_timeout_ms.to_string())
-        .arg("--idle-timeout-ms")
-        .arg(idle_timeout_ms.to_string())
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .map_err(|e| runtime_err(format!("cannot spawn the server under test: {e}")))?;
-    let Some(stdout) = child.stdout.take() else {
-        // webre::allow(dropped-result): spawn failed; kill is cleanup only
-        let _ = child.kill();
-        return Err(runtime_err("child stdout was not piped"));
-    };
+    let mut process = KillOnDrop(
+        std::process::Command::new(exe)
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(extra_args)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .map_err(|e| runtime_err(format!("cannot spawn `webre serve`: {e}")))?,
+    );
+    let stdout = process
+        .0
+        .stdout
+        .take()
+        .ok_or_else(|| runtime_err("child stdout was not piped"))?;
+    let mut stdout = std::io::BufReader::new(stdout);
     let mut banner = String::new();
-    if std::io::BufReader::new(stdout).read_line(&mut banner).is_err() || banner.is_empty() {
-        // webre::allow(dropped-result): spawn failed; kill is cleanup only
-        let _ = child.kill();
+    if stdout.read_line(&mut banner).is_err() || banner.is_empty() {
         return Err(runtime_err(
-            "the server under test exited before announcing its address",
+            "`webre serve` exited before announcing its address",
         ));
     }
     let addr = banner
@@ -667,34 +711,16 @@ fn spawn_load_server(
         .and_then(|rest| rest.split_whitespace().next())
         .ok_or_else(|| runtime_err(format!("unparseable serve banner: {banner:?}")))?
         .to_owned();
-    Ok((LoadChild(child), addr))
+    Ok(ServeChild {
+        process,
+        _stdout: stdout,
+        addr,
+    })
 }
 
-fn cmd_load(args: &[String]) -> Result<ExitCode, CliError> {
+fn cmd_load(parsed: &Parsed) -> Result<ExitCode, CliError> {
     use webre::serve::load::{run as run_load, LoadConfig};
-    let parsed = parse_flags(
-        args,
-        &[
-            "addr",
-            "connections",
-            "loris",
-            "duration",
-            "workers",
-            "queue-cap",
-            "cache-cap",
-            "deadline-ms",
-            "read-timeout-ms",
-            "idle-timeout-ms",
-            "bench-out",
-        ],
-        &[],
-    )?;
-    if !parsed.positional.is_empty() {
-        return Err(usage_err(format!(
-            "load takes no positional arguments, got {:?}",
-            parsed.positional
-        )));
-    }
+    parsed.no_positional("load")?;
     let connections = parsed.uint("connections", 1000)?.max(32);
     let loris = parsed.uint("loris", connections / 5)?;
     if loris + 32 > connections {
@@ -720,14 +746,26 @@ fn cmd_load(args: &[String]) -> Result<ExitCode, CliError> {
     let (child, addr) = match parsed.value("addr") {
         Some(addr) => (None, addr.to_owned()),
         None => {
-            let (child, addr) = spawn_load_server(
-                workers,
-                queue_cap,
-                cache_cap,
-                deadline_ms,
-                read_timeout_ms,
-                idle_timeout_ms,
+            let exe = std::env::current_exe()
+                .map_err(|e| runtime_err(format!("cannot locate own executable: {e}")))?;
+            let child = spawn_serve(
+                &exe,
+                [
+                    "--workers",
+                    &workers.to_string(),
+                    "--queue-cap",
+                    &queue_cap.to_string(),
+                    "--cache-cap",
+                    &cache_cap.to_string(),
+                    "--deadline-ms",
+                    &deadline_ms.to_string(),
+                    "--read-timeout-ms",
+                    &read_timeout_ms.to_string(),
+                    "--idle-timeout-ms",
+                    &idle_timeout_ms.to_string(),
+                ],
             )?;
+            let addr = child.addr.clone();
             (Some(child), addr)
         }
     };
@@ -920,8 +958,7 @@ struct StageSummary {
     max_us: f64,
 }
 
-fn cmd_stats(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(args, &[], &[])?;
+fn cmd_stats(parsed: &Parsed) -> Result<ExitCode, CliError> {
     if parsed.positional.is_empty() {
         return Err(usage_err("stats needs at least one trace file"));
     }
@@ -1003,8 +1040,7 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(args, &["dtd"], &[])?;
+fn cmd_validate(parsed: &Parsed) -> Result<ExitCode, CliError> {
     let dtd_path = parsed
         .value("dtd")
         .ok_or_else(|| usage_err("validate needs --dtd"))?;
@@ -1028,31 +1064,13 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
             }
         }
     }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_for(failures))
 }
 
-fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(args, &["seed", "iters", "only"], &[])?;
-    if !parsed.positional.is_empty() {
-        return Err(usage_err(format!(
-            "check takes no positional arguments, got {:?}",
-            parsed.positional
-        )));
-    }
-    let seed: u64 = parsed
-        .value("seed")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| usage_err("--seed expects an integer"))?;
-    let iters: u64 = parsed
-        .value("iters")
-        .unwrap_or("200")
-        .parse()
-        .map_err(|_| usage_err("--iters expects an integer"))?;
+fn cmd_check(parsed: &Parsed) -> Result<ExitCode, CliError> {
+    parsed.no_positional("check")?;
+    let seed = parsed.uint("seed", 1)? as u64;
+    let iters = parsed.uint("iters", 200)? as u64;
     let config = webre_check::CheckConfig {
         seed,
         iters,
@@ -1078,12 +1096,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
     })
 }
 
-fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(
-        args,
-        &["only", "format", "root"],
-        &["deny-warnings", "list-rules"],
-    )?;
+fn cmd_lint(parsed: &Parsed) -> Result<ExitCode, CliError> {
     let rules = webre_lint::all_rules();
     if parsed.switch("list-rules") {
         for rule in &rules {
@@ -1143,18 +1156,13 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
     })
 }
 
-fn cmd_generate(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(args, &["count", "seed", "out-dir"], &[])?;
+fn cmd_generate(parsed: &Parsed) -> Result<ExitCode, CliError> {
     let count: usize = parsed
         .value("count")
         .ok_or_else(|| usage_err("generate needs --count"))?
         .parse()
         .map_err(|_| usage_err("--count expects an integer"))?;
-    let seed: u64 = parsed
-        .value("seed")
-        .unwrap_or("2002")
-        .parse()
-        .map_err(|_| usage_err("--seed expects an integer"))?;
+    let seed = parsed.uint("seed", 2002)? as u64;
     let out_dir = PathBuf::from(
         parsed
             .value("out-dir")
@@ -1179,13 +1187,9 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, CliError> {
 // --- webre scale: multi-process sharded-ingest demonstration ----------
 
 /// One spawned `webre serve` child plus its keep-alive client
-/// connection. The child's stdout pipe stays open for its lifetime so
-/// its drain banner never hits a closed pipe.
+/// connection.
 struct ScaleNode {
-    child: std::process::Child,
-    #[allow(dead_code)]
-    stdout: std::io::BufReader<std::process::ChildStdout>,
-    addr: String,
+    server: ServeChild,
     client: webre_substrate::http::Client,
     /// Pipelined requests written but not yet answered.
     pending: usize,
@@ -1197,27 +1201,10 @@ fn scale_connect(addr: &str) -> Result<webre_substrate::http::Client, CliError> 
         .map_err(|e| runtime_err(format!("cannot connect to instance at {addr}: {e}")))
 }
 
-/// The fleet guard: on drop (normal exit or error unwind) every child
-/// that has not already exited is killed and reaped, so a failed run
-/// never leaks listening processes.
-struct Fleet(Vec<ScaleNode>);
-
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        for node in &mut self.0 {
-            // webre::allow(dropped-result): best-effort teardown; the child may already be gone
-            let _ = node.child.kill();
-            // webre::allow(dropped-result): reap only; exit status of a killed child is meaningless
-            let _ = node.child.wait();
-        }
-    }
-}
-
-/// Spawns one `webre serve` child on an ephemeral port, parses the
-/// "serving on http://HOST:PORT" banner, and opens one keep-alive
-/// connection to it. With one worker per child, that single connection
-/// pins the worker, so every request to the instance must flow through
-/// it — exactly the pipelined discipline the sender uses.
+/// Spawns one `webre serve` child on an ephemeral port and opens one
+/// keep-alive connection to it. With one worker per child, that single
+/// connection pins the worker, so every request to the instance must
+/// flow through it — exactly the pipelined discipline the sender uses.
 fn spawn_scale_node(
     exe: &Path,
     index: usize,
@@ -1225,19 +1212,14 @@ fn spawn_scale_node(
     shards: usize,
     data_dir: Option<&Path>,
 ) -> Result<ScaleNode, CliError> {
-    use std::io::BufRead;
-    let mut command = std::process::Command::new(exe);
-    command
-        .arg("serve")
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--workers")
-        .arg(workers.to_string())
-        .arg("--queue-cap")
-        .arg("256")
-        .arg("--cache-cap")
-        .arg("16")
-        .stdout(std::process::Stdio::piped());
+    let mut args: Vec<std::ffi::OsString> = vec![
+        "--workers".into(),
+        workers.to_string().into(),
+        "--queue-cap".into(),
+        "256".into(),
+        "--cache-cap".into(),
+        "16".into(),
+    ];
     if let Some(dir) = data_dir {
         // Bulk-load posture: big fsync batches, compaction off. A
         // mid-stream compaction rewrites the whole shard snapshot, and
@@ -1246,44 +1228,21 @@ fn spawn_scale_node(
         // is only ~150 MB, so deferring compaction to the next restart
         // is the cheaper trade. Compaction itself is exercised by the
         // persistence tests and the verify-script smoke run.
-        command
-            .arg("--data-dir")
-            .arg(dir.join(format!("instance-{index}")))
-            .arg("--shards")
-            .arg(shards.to_string())
-            .arg("--fsync-every")
-            .arg("2048")
-            .arg("--compact-min")
-            .arg("1000000000");
+        args.extend([
+            "--data-dir".into(),
+            dir.join(format!("instance-{index}")).into(),
+            "--shards".into(),
+            shards.to_string().into(),
+            "--fsync-every".into(),
+            "2048".into(),
+            "--compact-min".into(),
+            "1000000000".into(),
+        ]);
     }
-    let mut child = command
-        .spawn()
-        .map_err(|e| runtime_err(format!("cannot spawn serve instance {index}: {e}")))?;
-    let Some(stdout) = child.stdout.take() else {
-        // webre::allow(dropped-result): spawn failed; kill is cleanup only
-        let _ = child.kill();
-        return Err(runtime_err("child stdout was not piped"));
-    };
-    let mut stdout = std::io::BufReader::new(stdout);
-    let mut banner = String::new();
-    if stdout.read_line(&mut banner).is_err() || banner.is_empty() {
-        // webre::allow(dropped-result): spawn failed; kill is cleanup only
-        let _ = child.kill();
-        return Err(runtime_err(format!(
-            "serve instance {index} exited before announcing its address"
-        )));
-    }
-    let addr = banner
-        .split("http://")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .ok_or_else(|| runtime_err(format!("unparseable serve banner: {banner:?}")))?
-        .to_owned();
-    let client = scale_connect(&addr)?;
+    let server = spawn_serve(exe, args)?;
+    let client = scale_connect(&server.addr)?;
     Ok(ScaleNode {
-        child,
-        stdout,
-        addr,
+        server,
         client,
         pending: 0,
     })
@@ -1333,17 +1292,17 @@ fn scale_roundtrip(
             }
             Err(_) => {}
         }
-        node.client = scale_connect(&node.addr)?;
+        node.client = scale_connect(&node.server.addr)?;
     }
     unreachable!("loop returns on success or second failure")
 }
 
 /// Fetches every instance's path table and merges them — the
 /// distributed corpus seen through the merge algebra.
-fn merged_remote_table(fleet: &mut Fleet) -> Result<webre_schema::PathTable, CliError> {
+fn merged_remote_table(fleet: &mut [ScaleNode]) -> Result<webre_schema::PathTable, CliError> {
     use webre_substrate::json::FromJson;
-    let mut tables = Vec::with_capacity(fleet.0.len());
-    for node in &mut fleet.0 {
+    let mut tables = Vec::with_capacity(fleet.len());
+    for node in fleet {
         let response = scale_roundtrip(node, "GET", "/corpus/table")?;
         if response.status != 200 {
             return Err(runtime_err(format!(
@@ -1361,27 +1320,8 @@ fn merged_remote_table(fleet: &mut Fleet) -> Result<webre_schema::PathTable, Cli
     Ok(webre_schema::PathTable::merged(tables.iter()))
 }
 
-fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
-    let parsed = parse_flags(
-        args,
-        &[
-            "instances",
-            "docs",
-            "seed",
-            "batch",
-            "checkpoints",
-            "data-dir",
-            "shards",
-            "workers",
-        ],
-        &[],
-    )?;
-    if !parsed.positional.is_empty() {
-        return Err(usage_err(format!(
-            "scale takes no positional arguments, got {:?}",
-            parsed.positional
-        )));
-    }
+fn cmd_scale(parsed: &Parsed) -> Result<ExitCode, CliError> {
+    parsed.no_positional("scale")?;
     let instances = parsed.uint("instances", 2)?.max(1);
     let docs = parsed.uint("docs", 100_000)?.max(1) as u64;
     let seed = parsed.uint("seed", 2002)? as u64;
@@ -1400,11 +1340,10 @@ fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
         }
     }
 
-    let mut fleet = Fleet(Vec::with_capacity(instances));
+    // Dropping the fleet (normal exit or error unwind) kills every child.
+    let mut fleet = Vec::with_capacity(instances);
     for k in 0..instances {
-        fleet
-            .0
-            .push(spawn_scale_node(&exe, k, workers, shards, data_dir.as_deref())?);
+        fleet.push(spawn_scale_node(&exe, k, workers, shards, data_dir.as_deref())?);
     }
     eprintln!(
         "scale: {instances} instance(s) up, streaming {docs} docs (batch {batch}, {checkpoints} checkpoint(s){})",
@@ -1432,7 +1371,7 @@ fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
         let Some(node) = ring.route(hash) else {
             return Err(runtime_err("empty hash ring"));
         };
-        let node = &mut fleet.0[node as usize];
+        let node = &mut fleet[node as usize];
         node.client
             .send("POST", "/corpus/xml", xml.as_bytes())
             .map_err(|e| runtime_err(format!("ingest write: {e}")))?;
@@ -1452,7 +1391,7 @@ fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
             }
         }
         if (i + 1) % checkpoint_every == 0 || i + 1 == docs {
-            for node in &mut fleet.0 {
+            for node in &mut fleet {
                 drain_scale_node(node)?;
             }
             let merged = merged_remote_table(&mut fleet)?;
@@ -1477,7 +1416,7 @@ fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
     // Time-to-fresh-schema: every instance mines its share from scratch
     // (accretion invalidated the cached snapshot on every doc).
     let schema_start = std::time::Instant::now();
-    for node in &mut fleet.0 {
+    for node in &mut fleet {
         let response = scale_roundtrip(node, "GET", "/schema")?;
         if response.status != 200 {
             return Err(runtime_err(format!("/schema returned {}", response.status)));
@@ -1504,7 +1443,7 @@ fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
     // Orderly shutdown: drain each instance over its own connection.
     // The roundtrip's reconnect-and-retry matters here: an undelivered
     // drain request would leave `wait` below blocking forever.
-    for node in &mut fleet.0 {
+    for node in &mut fleet {
         let response = scale_roundtrip(node, "POST", "/shutdown")?;
         if response.status != 200 {
             return Err(runtime_err(format!(
@@ -1513,9 +1452,11 @@ fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
             )));
         }
     }
-    for (k, node) in fleet.0.iter_mut().enumerate() {
+    for (k, node) in fleet.iter_mut().enumerate() {
         let status = node
-            .child
+            .server
+            .process
+            .0
             .wait()
             .map_err(|e| runtime_err(format!("waiting for instance {k}: {e}")))?;
         if !status.success() {
@@ -1580,4 +1521,35 @@ fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
     ]);
     println!("{summary}");
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flags in `command`'s `USAGE` entry: its line and the indented
+    /// continuation lines under it.
+    fn usage_flags(command: &str) -> Vec<&'static str> {
+        let mut lines = USAGE.lines().skip_while(|line| {
+            let mut words = line.split_whitespace();
+            (words.next(), words.next()) != (Some("webre"), Some(command))
+        });
+        let first = lines.next().unwrap_or_else(|| panic!("no USAGE entry for {command}"));
+        std::iter::once(first)
+            .chain(lines.take_while(|line| line.starts_with("   ")))
+            .flat_map(|line| line.split(|c: char| c.is_whitespace() || c == '[' || c == ']'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect()
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_accepts() {
+        for &(command, (values, switches), _) in COMMANDS {
+            let mut accepted: Vec<&str> = values.iter().chain(switches).copied().collect();
+            let mut listed = usage_flags(command);
+            accepted.sort_unstable();
+            listed.sort_unstable();
+            assert_eq!(listed, accepted, "USAGE entry for `webre {command}`");
+        }
+    }
 }

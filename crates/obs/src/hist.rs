@@ -1,10 +1,12 @@
-//! Power-of-two latency histogram.
+//! Power-of-two latency histograms and the one Prometheus writer for
+//! them.
 //!
-//! Extracted from the serving layer's `/metrics` implementation so the
-//! per-stage pipeline aggregates and the per-endpoint request metrics
-//! share one bucketing scheme: bucket `i` covers latencies in
-//! `(2^(i-1), 2^i]` microseconds (bucket 0 is `[0, 1]`), with the last
-//! bucket open-ended.
+//! Bucket `i` covers latencies in `(2^(i-1), 2^i]` microseconds (bucket
+//! 0 is `[0, 1]`), with the last bucket open-ended. A [`Series`] pairs a
+//! histogram with its running sum; every latency series behind
+//! `/metrics` — one per served endpoint and one per pipeline stage, all
+//! kept by [`crate::stats::StatsRecorder`] — is a `Series` written by
+//! [`Series::write`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,6 +57,59 @@ impl PowHistogram {
     /// Total number of recorded observations.
     pub fn total(&self) -> u64 {
         self.counts().iter().sum()
+    }
+}
+
+/// One latency series: how many observations, their microsecond sum, and
+/// their histogram. The count is the histogram's total, so a render
+/// reads count, buckets and `+Inf` from one snapshot and they agree even
+/// while other threads record.
+#[derive(Default)]
+pub struct Series {
+    sum_us: AtomicU64,
+    hist: PowHistogram,
+}
+
+impl Series {
+    /// Records one observation of `us` microseconds.
+    pub fn record(&self, us: u64) {
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.hist.record(us);
+    }
+
+    /// Observations recorded so far.
+    pub fn count(&self) -> u64 {
+        self.hist.total()
+    }
+
+    /// Appends the series as Prometheus text under `label` (for example
+    /// `endpoint="map"`): the line `count_name{label} N`, then, when N is
+    /// not zero, `name_sum{label}` and the cumulative `name_bucket` lines.
+    /// Empty buckets are elided and the open-ended bucket is written once,
+    /// as `le="+Inf"` with the value N.
+    pub fn write(&self, out: &mut String, count_name: &str, name: &str, label: &str) {
+        let counts = self.hist.counts();
+        let count: u64 = counts.iter().sum();
+        out.push_str(&format!("{count_name}{{{label}}} {count}\n"));
+        if count == 0 {
+            return;
+        }
+        out.push_str(&format!(
+            "{name}_sum{{{label}}} {}\n",
+            self.sum_us.load(Ordering::Relaxed)
+        ));
+        let mut cumulative = 0;
+        for (i, n) in counts.iter().enumerate() {
+            cumulative += n;
+            match upper_bound(i) {
+                Some(le) if *n > 0 => out.push_str(&format!(
+                    "{name}_bucket{{{label},le=\"{le}\"}} {cumulative}\n"
+                )),
+                // Empty, or the open-ended bucket: `+Inf` below covers it.
+                _ => {}
+            }
+        }
+        out.push_str(&format!("{name}_bucket{{{label},le=\"+Inf\"}} {count}\n"));
     }
 }
 

@@ -23,9 +23,10 @@
 //!   (`webre run --trace-out`), a deterministic span-tree (the golden
 //!   trace test uses a [`clock::FakeClock`]), or a per-stage summary
 //!   (`webre stats`).
-//! * [`stats::StatsRecorder`]: lock-free per-stage aggregates (span
-//!   counts, total time, power-of-two histograms) for the serving
-//!   layer's extended `/metrics`.
+//! * [`stats::StatsRecorder`]: the one metrics registry behind the
+//!   serving layer's `/metrics` — a lock-free latency series (count,
+//!   total time, power-of-two histogram) per stage and per served
+//!   endpoint, plus counter totals.
 //! * [`TeeRecorder`]: fans out to two recorders, so `webre serve
 //!   --trace-out` can feed `/metrics` aggregates *and* a trace file.
 //!

@@ -88,22 +88,26 @@ impl App {
     }
 }
 
-/// A parsed request plus the `/convert` cache key the event loop
-/// computed while triaging it ([`fast_eligible`]), so a conversion
-/// dispatched to a worker does not hash its body a second time.
+/// A parsed request, routed once, plus the `/convert` cache key the
+/// event loop computed while triaging it ([`fast_eligible`]), so a
+/// conversion dispatched to a worker does not hash its body a second
+/// time.
 #[derive(Debug)]
 pub struct Routed {
     /// The request as parsed.
     pub request: Request,
+    /// The resolved route, or the ready-made 404/405 response.
+    pub route: Result<Route, Response>,
     /// [`content_hash`] of the body, for a `POST /convert` the event loop
     /// triaged; `None` otherwise, and the worker hashes the body itself.
     pub convert_key: Option<u64>,
 }
 
 impl Routed {
-    /// Wraps `request`, not yet hashed.
+    /// Routes `request`; the body is not hashed yet.
     pub fn new(request: Request) -> Routed {
         Routed {
+            route: route(&request.method, request.path()),
             request,
             convert_key: None,
         }
@@ -116,23 +120,22 @@ impl Routed {
 /// (the worker pool installs the server's recorder and opens a
 /// per-request span); the response does not depend on it.
 pub fn handle(app: &App, request: &Request) -> Response {
-    dispatch(app, request, None)
+    handle_routed(app, &Routed::new(request.clone()))
 }
 
-/// [`handle`] for a request the event loop already triaged: a
-/// `/convert` reuses the loop's body hash as its cache key.
+/// [`handle`] for a request the event loop already routed and triaged:
+/// a `/convert` reuses the loop's body hash as its cache key.
 pub(crate) fn handle_routed(app: &App, routed: &Routed) -> Response {
-    dispatch(app, &routed.request, routed.convert_key)
-}
-
-fn dispatch(app: &App, request: &Request, convert_key: Option<u64>) -> Response {
-    let resolved = match route(&request.method, request.path()) {
-        Ok(route) => route,
-        Err(response) => return response,
+    let request = &routed.request;
+    let resolved = match &routed.route {
+        Ok(route) => *route,
+        Err(response) => return response.clone(),
     };
     match resolved {
         Route::Convert => {
-            let key = convert_key.unwrap_or_else(|| content_hash(&request.body));
+            let key = routed
+                .convert_key
+                .unwrap_or_else(|| content_hash(&request.body));
             convert(app, &request.body, key)
         }
         Route::Map => map(app, &request.body),
@@ -156,7 +159,7 @@ fn dispatch(app: &App, request: &Request, convert_key: Option<u64>) -> Response 
 /// admission control can shed it. A `/convert` keeps the body hash it
 /// was probed with in `routed`, for the worker that converts it.
 pub fn fast_eligible(app: &App, routed: &mut Routed) -> bool {
-    match route(&routed.request.method, routed.request.path()) {
+    match routed.route {
         Ok(Route::Healthz) | Ok(Route::Metrics) | Ok(Route::Shutdown) => true,
         Ok(Route::Convert) => {
             let key = content_hash(&routed.request.body);

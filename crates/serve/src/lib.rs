@@ -62,9 +62,9 @@
 //! | [`cache`] | sharded LRU keyed by content hash |
 //! | [`state`] | live corpus: sharded incremental index + versioned, lazily recomputed schema snapshot |
 //! | [`persist`] | per-shard WAL + snapshot persistence with crash-tolerant replay |
-//! | [`metrics`] | atomic counters and log-scale latency histograms |
-//! | [`obs`] | per-request span recording: stats aggregation + optional trace tee |
-//! | [`router`] | method/path → route resolution |
+//! | [`metrics`] | the event loop's atomic counters and gauges |
+//! | [`obs`] | the stats recorder (per-endpoint and per-stage latency series) + optional trace tee |
+//! | [`router`] | method/path → route resolution, endpoint labels |
 //! | [`handlers`] | per-route request handling over shared [`handlers::App`] state |
 //! | [`ready`] | per-connection state machine: buffers, budgets, transitions |
 //! | [`admission`] | queue-delay estimation and deadline-based shedding |

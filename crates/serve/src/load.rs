@@ -279,10 +279,9 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
     };
 
     let after = scrape_metrics(&config.addr)?;
-    let shed_server = counter(&after, "requests_rejected_total{reason=\"deadline\"}")
-        - counter(&before, "requests_rejected_total{reason=\"deadline\"}");
-    let rejected_server = counter(&after, "requests_rejected_total{reason=\"queue_full\"}")
-        - counter(&before, "requests_rejected_total{reason=\"queue_full\"}");
+    let delta = |name: &str| counter(&after, name) - counter(&before, name);
+    let shed_server = delta("requests_rejected_total{reason=\"deadline\"}");
+    let rejected_server = delta("requests_rejected_total{reason=\"queue_full\"}");
     let shed_client = tallies.too_many.load(Ordering::Relaxed);
 
     let mut all = lock(&tallies.latencies_us).clone();
@@ -307,12 +306,9 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
         shed_server,
         rejected_server,
         shed_accounted: shed_client == shed_server + rejected_server,
-        reaped_read: counter(&after, "connections_reaped_total{reason=\"read_timeout\"}")
-            - counter(&before, "connections_reaped_total{reason=\"read_timeout\"}"),
-        reaped_idle: counter(&after, "connections_reaped_total{reason=\"idle_timeout\"}")
-            - counter(&before, "connections_reaped_total{reason=\"idle_timeout\"}"),
-        reaped_write: counter(&after, "connections_reaped_total{reason=\"write_timeout\"}")
-            - counter(&before, "connections_reaped_total{reason=\"write_timeout\"}"),
+        reaped_read: delta("connections_reaped_total{reason=\"read_timeout\"}"),
+        reaped_idle: delta("connections_reaped_total{reason=\"idle_timeout\"}"),
+        reaped_write: delta("connections_reaped_total{reason=\"write_timeout\"}"),
         loris_total: config.loris as u64,
         loris_reaped: loris_reaped.load(Ordering::Relaxed),
         loris_reap_p99_ms: loris_p99_ms,

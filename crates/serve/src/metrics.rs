@@ -1,113 +1,23 @@
-//! Plain-text server metrics: request counters, queue depth, latency
-//! histograms, worker utilization.
+//! The event loop's plain-text counters and gauges: connections,
+//! rejections, reaps, queue depth, in-flight requests, worker
+//! utilization.
 //!
 //! Everything is a relaxed atomic — metrics must never contend with the
 //! request path. The output format is Prometheus-flavoured plain text
 //! (`name{label="value"} number`, one sample per line) so it is both
 //! greppable by the verify smoke gate and scrapable by real tooling.
-//!
-//! Latency is recorded in power-of-two microsecond buckets
-//! (`≤1µs, ≤2µs, …, ≤2³⁰µs ≈ 18min`, plus overflow), which bounds the
-//! histogram at 32 counters per endpoint while still resolving both
-//! cache hits (microseconds) and heavyweight conversions
-//! (milliseconds-to-seconds). The bucketing scheme is shared with the
-//! per-stage pipeline aggregates (`webre_obs::hist::PowHistogram`), so
-//! endpoint and stage latencies line up bucket-for-bucket.
+//! Latency series — per endpoint and per pipeline stage — are not kept
+//! here: they live in the one registry, the server's
+//! [`webre_obs::stats::StatsRecorder`], whose lines `/metrics` appends.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-use webre_obs::hist::{upper_bound, PowHistogram};
-
-/// The endpoints metrics are tracked for, in render order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Endpoint {
-    /// `POST /convert`
-    Convert,
-    /// `POST /map`
-    Map,
-    /// `POST /corpus/docs`
-    CorpusDocs,
-    /// `POST /corpus/xml`
-    CorpusXml,
-    /// `GET /corpus/table`
-    CorpusTable,
-    /// `GET /schema`
-    Schema,
-    /// `GET /schema/dtd`
-    SchemaDtd,
-    /// `GET /metrics`
-    Metrics,
-    /// `GET /healthz`
-    Healthz,
-    /// `POST /shutdown`
-    Shutdown,
-    /// Anything that did not resolve to a route (404/405/400…).
-    Other,
-}
-
-impl Endpoint {
-    /// Every endpoint, in render order.
-    pub const ALL: [Endpoint; 11] = [
-        Endpoint::Convert,
-        Endpoint::Map,
-        Endpoint::CorpusDocs,
-        Endpoint::CorpusXml,
-        Endpoint::CorpusTable,
-        Endpoint::Schema,
-        Endpoint::SchemaDtd,
-        Endpoint::Metrics,
-        Endpoint::Healthz,
-        Endpoint::Shutdown,
-        Endpoint::Other,
-    ];
-
-    /// The metrics label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Endpoint::Convert => "convert",
-            Endpoint::Map => "map",
-            Endpoint::CorpusDocs => "corpus_docs",
-            Endpoint::CorpusXml => "corpus_xml",
-            Endpoint::CorpusTable => "corpus_table",
-            Endpoint::Schema => "schema",
-            Endpoint::SchemaDtd => "schema_dtd",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Healthz => "healthz",
-            Endpoint::Shutdown => "shutdown",
-            Endpoint::Other => "other",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Endpoint::Convert => 0,
-            Endpoint::Map => 1,
-            Endpoint::CorpusDocs => 2,
-            Endpoint::CorpusXml => 3,
-            Endpoint::CorpusTable => 4,
-            Endpoint::Schema => 5,
-            Endpoint::SchemaDtd => 6,
-            Endpoint::Metrics => 7,
-            Endpoint::Healthz => 8,
-            Endpoint::Shutdown => 9,
-            Endpoint::Other => 10,
-        }
-    }
-}
-
-#[derive(Default)]
-struct EndpointStats {
-    requests: AtomicU64,
-    total_us: AtomicU64,
-    hist: PowHistogram,
-}
+use std::time::Instant;
 
 /// Shared server metrics. One instance per server, shared by acceptor
 /// and workers.
 pub struct Metrics {
     started: Instant,
     workers: usize,
-    endpoints: [EndpointStats; 11],
     /// Connections accepted (including ones answered 429).
     pub connections: AtomicU64,
     /// Connections rejected with 429 because the queue was full.
@@ -147,7 +57,6 @@ impl Metrics {
         Metrics {
             started: Instant::now(),
             workers: workers.max(1),
-            endpoints: Default::default(),
             connections: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
@@ -163,147 +72,53 @@ impl Metrics {
         }
     }
 
-    /// Records one served request.
-    pub fn record(&self, endpoint: Endpoint, elapsed: Duration) {
-        let stats = &self.endpoints[endpoint.index()];
-        stats.requests.fetch_add(1, Ordering::Relaxed);
-        let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        stats.total_us.fetch_add(us, Ordering::Relaxed);
-        stats.hist.record(us);
-    }
-
-    /// Total requests served across endpoints.
-    pub fn total_requests(&self) -> u64 {
-        self.endpoints
-            .iter()
-            .map(|e| e.requests.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Renders the plain-text exposition. `extra` carries lines owned by
-    /// other components (the cache appends its own counters).
+    /// other components: the cache and corpus counters, and the latency
+    /// series of the stats recorder.
     pub fn render(&self, extra: &str) -> String {
-        let mut out = String::with_capacity(2048);
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        // Gauges clamp at zero: increments and decrements race briefly.
+        let gauge = |gauge: &AtomicI64| gauge.load(Ordering::Relaxed).max(0);
         let uptime = self.started.elapsed();
-        out.push_str(&format!("uptime_seconds {:.3}\n", uptime.as_secs_f64()));
-        out.push_str(&format!(
-            "connections_accepted_total {}\n",
-            self.connections.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "requests_rejected_total{{reason=\"queue_full\"}} {}\n",
-            self.rejected.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "requests_bad_total {}\n",
-            self.bad_requests.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "worker_panics_total {}\n",
-            self.panics.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "queue_depth {}\n",
-            self.queue_depth.load(Ordering::Relaxed).max(0)
-        ));
-        let busy = self.busy_ns.load(Ordering::Relaxed) as f64;
+        let busy = load(&self.busy_ns) as f64;
         let wall = (uptime.as_nanos() as f64 * self.workers as f64).max(1.0);
-        out.push_str(&format!(
-            "worker_utilization_ratio {:.4}\n",
-            (busy / wall).min(1.0)
-        ));
-        out.push_str(&format!("workers {}\n", self.workers));
-        out.push_str(&format!(
-            "requests_rejected_total{{reason=\"deadline\"}} {}\n",
-            self.shed.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "connections_reaped_total{{reason=\"read_timeout\"}} {}\n",
-            self.reaped_read.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "connections_reaped_total{{reason=\"idle_timeout\"}} {}\n",
-            self.reaped_idle.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "connections_reaped_total{{reason=\"write_timeout\"}} {}\n",
-            self.reaped_write.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "connections_open {}\n",
-            self.open_connections.load(Ordering::Relaxed).max(0)
-        ));
-        out.push_str(&format!(
-            "requests_in_flight {}\n",
-            self.in_flight.load(Ordering::Relaxed).max(0)
-        ));
-        for endpoint in Endpoint::ALL {
-            let stats = &self.endpoints[endpoint.index()];
-            let requests = stats.requests.load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "requests_total{{endpoint=\"{}\"}} {requests}\n",
-                endpoint.label()
-            ));
-            if requests == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "latency_us_sum{{endpoint=\"{}\"}} {}\n",
-                endpoint.label(),
-                stats.total_us.load(Ordering::Relaxed)
-            ));
-            // Cumulative buckets, empty ones elided; +Inf always printed.
-            let mut cumulative = 0u64;
-            for (i, count) in stats.hist.counts().iter().enumerate() {
-                if *count == 0 {
-                    continue;
-                }
-                cumulative += count;
-                // Bucket i holds samples ≤ 2^i µs (i = 0 → ≤ 1µs).
-                let le = match upper_bound(i) {
-                    Some(bound) => format!("{bound}"),
-                    None => "+Inf".to_owned(),
-                };
-                out.push_str(&format!(
-                    "latency_us_bucket{{endpoint=\"{}\",le=\"{le}\"}} {cumulative}\n",
-                    endpoint.label()
-                ));
-            }
-            out.push_str(&format!(
-                "latency_us_bucket{{endpoint=\"{}\",le=\"+Inf\"}} {requests}\n",
-                endpoint.label()
-            ));
-        }
-        out.push_str(extra);
-        out
+        format!(
+            "uptime_seconds {:.3}\n\
+             connections_accepted_total {}\n\
+             requests_rejected_total{{reason=\"queue_full\"}} {}\n\
+             requests_bad_total {}\n\
+             worker_panics_total {}\n\
+             queue_depth {}\n\
+             worker_utilization_ratio {:.4}\n\
+             workers {}\n\
+             requests_rejected_total{{reason=\"deadline\"}} {}\n\
+             connections_reaped_total{{reason=\"read_timeout\"}} {}\n\
+             connections_reaped_total{{reason=\"idle_timeout\"}} {}\n\
+             connections_reaped_total{{reason=\"write_timeout\"}} {}\n\
+             connections_open {}\n\
+             requests_in_flight {}\n\
+             {extra}",
+            uptime.as_secs_f64(),
+            load(&self.connections),
+            load(&self.rejected),
+            load(&self.bad_requests),
+            load(&self.panics),
+            gauge(&self.queue_depth),
+            (busy / wall).min(1.0),
+            self.workers,
+            load(&self.shed),
+            load(&self.reaped_read),
+            load(&self.reaped_idle),
+            load(&self.reaped_write),
+            gauge(&self.open_connections),
+            gauge(&self.in_flight),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_fills_the_right_bucket() {
-        let metrics = Metrics::new(2);
-        metrics.record(Endpoint::Convert, Duration::from_micros(3));
-        metrics.record(Endpoint::Convert, Duration::from_micros(100));
-        metrics.record(Endpoint::Healthz, Duration::from_micros(0));
-        assert_eq!(metrics.total_requests(), 3);
-        let text = metrics.render("");
-        assert!(text.contains("requests_total{endpoint=\"convert\"} 2"), "{text}");
-        assert!(text.contains("requests_total{endpoint=\"healthz\"} 1"), "{text}");
-        // 3µs lands in the ≤4µs bucket; 100µs in ≤128µs.
-        assert!(text.contains("latency_us_bucket{endpoint=\"convert\",le=\"4\"} 1"), "{text}");
-        assert!(
-            text.contains("latency_us_bucket{endpoint=\"convert\",le=\"128\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("latency_us_bucket{endpoint=\"convert\",le=\"+Inf\"} 2"),
-            "{text}"
-        );
-    }
 
     #[test]
     fn render_appends_extra_lines_and_core_gauges() {
@@ -334,13 +149,5 @@ mod tests {
         assert!(text.contains("connections_reaped_total{reason=\"write_timeout\"} 1"), "{text}");
         assert!(text.contains("connections_open 12"), "{text}");
         assert!(text.contains("requests_in_flight 0"), "gauges clamp at zero: {text}");
-    }
-
-    #[test]
-    fn every_endpoint_has_a_distinct_label() {
-        let mut labels: Vec<&str> = Endpoint::ALL.iter().map(|e| e.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), Endpoint::ALL.len());
     }
 }

@@ -1,12 +1,13 @@
 //! The serving layer's observability wiring.
 //!
-//! Every server carries an [`ObsLayer`]: a [`StatsRecorder`] feeding the
-//! extended `/metrics` (per-stage span counts, latency histograms, rule
-//! counters), optionally teed into a [`TraceRecorder`] when the server
-//! was started with `--trace-out`. Workers open one `request` span per
-//! served request; the pipeline stages called by the handlers nest under
-//! it.
+//! Every server carries an [`ObsLayer`]: a [`StatsRecorder`] holding every
+//! latency series `/metrics` prints (per endpoint and per pipeline
+//! stage) and the rule counters, optionally teed into a
+//! [`TraceRecorder`] when the server was started with `--trace-out`.
+//! Workers open one `request` span per served request; the pipeline
+//! stages called by the handlers nest under it.
 
+use crate::router::ENDPOINTS;
 use std::sync::Arc;
 use webre_obs::clock::MonotonicClock;
 use webre_obs::stats::StatsRecorder;
@@ -24,7 +25,8 @@ impl ObsLayer {
     /// A layer aggregating into `/metrics`, additionally teeing every
     /// span into `trace` when given.
     pub fn new(trace: Option<Arc<TraceRecorder>>) -> Self {
-        let stats = Arc::new(StatsRecorder::new(Box::new(MonotonicClock::new())));
+        let clock = Box::new(MonotonicClock::new());
+        let stats = Arc::new(StatsRecorder::with_endpoints(clock, ENDPOINTS));
         let recorder: Arc<dyn Recorder> = match &trace {
             None => Arc::clone(&stats) as Arc<dyn Recorder>,
             Some(t) => Arc::new(TeeRecorder::new(
@@ -44,7 +46,7 @@ impl ObsLayer {
         self.recorder.as_ref()
     }
 
-    /// The `/metrics` aggregates.
+    /// The `/metrics` latency series and counters.
     pub fn stats(&self) -> &StatsRecorder {
         &self.stats
     }

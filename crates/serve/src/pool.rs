@@ -11,7 +11,7 @@
 //! the event loop to write the bytes out.
 //!
 //! Ordering guarantee for observability: a request's span closes and its
-//! `requests_total` counter bumps *before* its response bytes can reach
+//! request series records *before* its response bytes can reach
 //! the peer — the worker records first and only then publishes the
 //! completion, and the loop writes only published completions. That is
 //! what keeps the span ≡ counter consistency tests exact on this core.
@@ -22,7 +22,7 @@
 
 use crate::admission::Admission;
 use crate::handlers::{handle_routed, App, Routed};
-use crate::metrics::Endpoint;
+use crate::router::OTHER;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -247,16 +247,11 @@ pub(crate) fn execute(
             span(stage::REQUEST, || handle_routed(app, routed))
         })
     })) {
-        Ok(response) => {
-            let endpoint = crate::router::route(&request.method, request.path())
-                .map(|r| r.endpoint())
-                .unwrap_or(Endpoint::Other);
-            (endpoint, response)
-        }
+        Ok(response) => (routed.route.as_ref().map_or(OTHER, |r| *r as usize), response),
         Err(_) => {
             app.metrics.panics.fetch_add(1, Ordering::Relaxed);
             (
-                Endpoint::Other,
+                OTHER,
                 Response::text(
                     500,
                     "internal error: request handler panicked (worker recovered)\n",
@@ -265,7 +260,7 @@ pub(crate) fn execute(
         }
     };
     let elapsed = started.elapsed();
-    app.metrics.record(endpoint, elapsed);
+    app.obs.stats().record_request(endpoint, elapsed);
     if let Some(admission) = admission {
         admission.observe(elapsed);
         app.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);

@@ -5,10 +5,29 @@
 //! known paths with the wrong method to `405` (with an `allow` header),
 //! both produced here so every worker answers identically.
 
-use crate::metrics::Endpoint;
 use webre_substrate::http::Response;
 
-/// A resolved route.
+/// The `endpoint` label of each request series in `/metrics`, indexed
+/// by `Route as usize`, then [`OTHER`].
+pub const ENDPOINTS: &[&str] = &[
+    "convert",
+    "map",
+    "corpus_docs",
+    "corpus_xml",
+    "corpus_table",
+    "schema",
+    "schema_dtd",
+    "metrics",
+    "healthz",
+    "shutdown",
+    "other",
+];
+
+/// The [`ENDPOINTS`] index of requests that resolved to no route (404,
+/// 405) or whose handler panicked.
+pub const OTHER: usize = ENDPOINTS.len() - 1;
+
+/// A resolved route; its discriminant indexes [`ENDPOINTS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Route {
     /// `POST /convert`
@@ -31,24 +50,6 @@ pub enum Route {
     Healthz,
     /// `POST /shutdown`
     Shutdown,
-}
-
-impl Route {
-    /// The metrics endpoint this route reports under.
-    pub fn endpoint(self) -> Endpoint {
-        match self {
-            Route::Convert => Endpoint::Convert,
-            Route::Map => Endpoint::Map,
-            Route::CorpusDocs => Endpoint::CorpusDocs,
-            Route::CorpusXml => Endpoint::CorpusXml,
-            Route::CorpusTable => Endpoint::CorpusTable,
-            Route::Schema => Endpoint::Schema,
-            Route::SchemaDtd => Endpoint::SchemaDtd,
-            Route::Metrics => Endpoint::Metrics,
-            Route::Healthz => Endpoint::Healthz,
-            Route::Shutdown => Endpoint::Shutdown,
-        }
-    }
 }
 
 /// Resolves a request line; `Err` carries the ready-made error response.
@@ -85,18 +86,25 @@ pub fn route(method: &str, path: &str) -> Result<Route, Response> {
 mod tests {
     use super::*;
 
+    /// Every route with its request line and `/metrics` label.
+    const ROUTES: [(&str, &str, Route, &str); 10] = [
+        ("POST", "/convert", Route::Convert, "convert"),
+        ("POST", "/map", Route::Map, "map"),
+        ("POST", "/corpus/docs", Route::CorpusDocs, "corpus_docs"),
+        ("POST", "/corpus/xml", Route::CorpusXml, "corpus_xml"),
+        ("GET", "/corpus/table", Route::CorpusTable, "corpus_table"),
+        ("GET", "/schema", Route::Schema, "schema"),
+        ("GET", "/schema/dtd", Route::SchemaDtd, "schema_dtd"),
+        ("GET", "/metrics", Route::Metrics, "metrics"),
+        ("GET", "/healthz", Route::Healthz, "healthz"),
+        ("POST", "/shutdown", Route::Shutdown, "shutdown"),
+    ];
+
     #[test]
     fn every_route_resolves() {
-        assert_eq!(route("POST", "/convert"), Ok(Route::Convert));
-        assert_eq!(route("POST", "/map"), Ok(Route::Map));
-        assert_eq!(route("POST", "/corpus/docs"), Ok(Route::CorpusDocs));
-        assert_eq!(route("POST", "/corpus/xml"), Ok(Route::CorpusXml));
-        assert_eq!(route("GET", "/corpus/table"), Ok(Route::CorpusTable));
-        assert_eq!(route("GET", "/schema"), Ok(Route::Schema));
-        assert_eq!(route("GET", "/schema/dtd"), Ok(Route::SchemaDtd));
-        assert_eq!(route("GET", "/metrics"), Ok(Route::Metrics));
-        assert_eq!(route("GET", "/healthz"), Ok(Route::Healthz));
-        assert_eq!(route("POST", "/shutdown"), Ok(Route::Shutdown));
+        for (method, path, expected, _) in ROUTES {
+            assert_eq!(route(method, path), Ok(expected));
+        }
     }
 
     #[test]
@@ -110,5 +118,17 @@ mod tests {
         let err = route("GET", "/convert").unwrap_err();
         assert_eq!(err.status, 405);
         assert!(err.headers.iter().any(|(n, v)| n == "allow" && v == "POST"));
+    }
+
+    #[test]
+    fn every_endpoint_has_a_distinct_label() {
+        for (_, _, route, label) in ROUTES {
+            assert_eq!(ENDPOINTS[route as usize], label);
+        }
+        assert_eq!(ENDPOINTS[OTHER], "other");
+        let mut labels = ENDPOINTS.to_vec();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), ENDPOINTS.len());
     }
 }

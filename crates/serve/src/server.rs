@@ -571,14 +571,7 @@ impl EventLoop {
             Err(estimate) => {
                 self.app.metrics.shed.fetch_add(n as u64, Ordering::Relaxed);
                 let retry = Admission::retry_after_secs(estimate);
-                let draining = self.app.is_draining();
-                if let Some(slot) = self.slots[idx].as_mut() {
-                    for routed in &rest {
-                        let keep_alive = routed.request.keep_alive() && !draining;
-                        let bytes = serialize_response(&shed_response(retry), keep_alive);
-                        slot.conn.enqueue(bytes, keep_alive, now);
-                    }
-                }
+                self.refuse(idx, &rest, &shed_response(retry), now);
             }
             Ok(()) => match self.jobs.try_send(Job { token, requests: rest }) {
                 Ok(()) => {
@@ -590,24 +583,25 @@ impl EventLoop {
                     }
                 }
                 Err(TrySendError::Full(job)) => {
-                    self.app
-                        .metrics
-                        .rejected
-                        .fetch_add(job.requests.len() as u64, Ordering::Relaxed);
-                    let draining = self.app.is_draining();
-                    if let Some(slot) = self.slots[idx].as_mut() {
-                        for routed in &job.requests {
-                            let keep_alive = routed.request.keep_alive() && !draining;
-                            let bytes =
-                                serialize_response(&queue_full_response(), keep_alive);
-                            slot.conn.enqueue(bytes, keep_alive, now);
-                        }
-                    }
+                    self.app.metrics.rejected.fetch_add(n as u64, Ordering::Relaxed);
+                    self.refuse(idx, &job.requests, &queue_full_response(), now);
                 }
                 // The loop owns the only sender, so the channel cannot
                 // close while this runs; treat it like queue-full.
                 Err(TrySendError::Closed(_)) => {}
             },
+        }
+    }
+
+    /// Answers every request in `requests` with `response` without
+    /// running it (shed or queue full).
+    fn refuse(&mut self, idx: usize, requests: &[Routed], response: &Response, now: u64) {
+        let draining = self.app.is_draining();
+        if let Some(slot) = self.slots[idx].as_mut() {
+            for routed in requests {
+                let keep_alive = routed.request.keep_alive() && !draining;
+                slot.conn.enqueue(serialize_response(response, keep_alive), keep_alive, now);
+            }
         }
     }
 

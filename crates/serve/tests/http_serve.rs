@@ -135,6 +135,122 @@ fn routing_and_limit_errors_over_the_wire() {
     server.join();
 }
 
+/// Every line key `/metrics` prints once each route has served a request
+/// and a 404 came back. Perfbench, `webre load` and the verify script
+/// read these keys; a key that disappears or changes spelling breaks
+/// them silently.
+const METRICS_KEYS: &[&str] = &[
+    "cache_entries",
+    "cache_hits_total",
+    "cache_misses_total",
+    "connections_accepted_total",
+    "connections_open",
+    "connections_reaped_total{reason=\"idle_timeout\"}",
+    "connections_reaped_total{reason=\"read_timeout\"}",
+    "connections_reaped_total{reason=\"write_timeout\"}",
+    "corpus_docs",
+    "corpus_shards",
+    "corpus_tokens_identified",
+    "corpus_tokens_total",
+    "latency_us_sum{endpoint=\"convert\"}",
+    "latency_us_sum{endpoint=\"corpus_docs\"}",
+    "latency_us_sum{endpoint=\"corpus_table\"}",
+    "latency_us_sum{endpoint=\"corpus_xml\"}",
+    "latency_us_sum{endpoint=\"healthz\"}",
+    "latency_us_sum{endpoint=\"map\"}",
+    "latency_us_sum{endpoint=\"other\"}",
+    "latency_us_sum{endpoint=\"schema\"}",
+    "latency_us_sum{endpoint=\"schema_dtd\"}",
+    "pipeline_counter_total{counter=\"concepts_matched\"}",
+    "pipeline_counter_total{counter=\"groups_sunk\"}",
+    "pipeline_counter_total{counter=\"map_exact\"}",
+    "pipeline_counter_total{counter=\"nodes_consolidated\"}",
+    "pipeline_counter_total{counter=\"paths_accepted\"}",
+    "pipeline_counter_total{counter=\"paths_explored\"}",
+    "pipeline_counter_total{counter=\"tokens_split\"}",
+    "pipeline_span_us_sum{stage=\"concept-instance-rule\"}",
+    "pipeline_span_us_sum{stage=\"consolidation-rule\"}",
+    "pipeline_span_us_sum{stage=\"convert\"}",
+    "pipeline_span_us_sum{stage=\"derive-dtd\"}",
+    "pipeline_span_us_sum{stage=\"grouping-rule\"}",
+    "pipeline_span_us_sum{stage=\"map-exact\"}",
+    "pipeline_span_us_sum{stage=\"map-filter\"}",
+    "pipeline_span_us_sum{stage=\"map-to-dtd\"}",
+    "pipeline_span_us_sum{stage=\"mine-frequent-paths\"}",
+    "pipeline_span_us_sum{stage=\"request\"}",
+    "pipeline_span_us_sum{stage=\"tidy\"}",
+    "pipeline_span_us_sum{stage=\"tokenization-rule\"}",
+    "pipeline_spans_total{stage=\"concept-instance-rule\"}",
+    "pipeline_spans_total{stage=\"consolidation-rule\"}",
+    "pipeline_spans_total{stage=\"convert\"}",
+    "pipeline_spans_total{stage=\"derive-dtd\"}",
+    "pipeline_spans_total{stage=\"grouping-rule\"}",
+    "pipeline_spans_total{stage=\"map-exact\"}",
+    "pipeline_spans_total{stage=\"map-filter\"}",
+    "pipeline_spans_total{stage=\"map-to-dtd\"}",
+    "pipeline_spans_total{stage=\"mine-frequent-paths\"}",
+    "pipeline_spans_total{stage=\"request\"}",
+    "pipeline_spans_total{stage=\"tidy\"}",
+    "pipeline_spans_total{stage=\"tokenization-rule\"}",
+    "queue_depth",
+    "requests_bad_total",
+    "requests_in_flight",
+    "requests_rejected_total{reason=\"deadline\"}",
+    "requests_rejected_total{reason=\"queue_full\"}",
+    "requests_total{endpoint=\"convert\"}",
+    "requests_total{endpoint=\"corpus_docs\"}",
+    "requests_total{endpoint=\"corpus_table\"}",
+    "requests_total{endpoint=\"corpus_xml\"}",
+    "requests_total{endpoint=\"healthz\"}",
+    "requests_total{endpoint=\"map\"}",
+    "requests_total{endpoint=\"metrics\"}",
+    "requests_total{endpoint=\"other\"}",
+    "requests_total{endpoint=\"schema\"}",
+    "requests_total{endpoint=\"schema_dtd\"}",
+    "requests_total{endpoint=\"shutdown\"}",
+    "uptime_seconds",
+    "worker_panics_total",
+    "worker_utilization_ratio",
+    "workers",
+];
+
+#[test]
+fn metrics_line_keys_are_pinned() {
+    let server = start(ephemeral(2, 16));
+    let addr = server.local_addr();
+
+    let xml = Engine::resume_domain().convert_to_xml(RESUME).2;
+    let requests: &[(&str, &str, &[u8], u16)] = &[
+        ("POST", "/corpus/docs", RESUME.as_bytes(), 202),
+        ("POST", "/corpus/xml", xml.as_bytes(), 202),
+        ("POST", "/convert", RESUME.as_bytes(), 200),
+        ("POST", "/map", RESUME.as_bytes(), 200),
+        ("GET", "/corpus/table", b"", 200),
+        ("GET", "/schema", b"", 200),
+        ("GET", "/schema/dtd", b"", 200),
+        ("GET", "/healthz", b"", 200),
+        ("GET", "/nope", b"", 404),
+    ];
+    for &(method, target, body, status) in requests {
+        let response = roundtrip(addr, method, target, body);
+        assert_eq!(response.status, status, "{method} {target}: {}", response.text());
+    }
+    // The scrape is the `/metrics` request; `/shutdown` follows it.
+    let metrics = roundtrip(addr, "GET", "/metrics", b"").text();
+    assert_eq!(roundtrip(addr, "POST", "/shutdown", b"").status, 200);
+    server.join();
+
+    // A key is the text before the last space. Which buckets are
+    // non-empty depends on timing, so bucket lines are left out.
+    let mut keys: Vec<&str> = metrics
+        .lines()
+        .filter(|line| !line.contains("le=\""))
+        .map(|line| line.rsplit_once(' ').map_or(line, |(key, _)| key))
+        .collect();
+    keys.sort_unstable();
+    assert_eq!(keys, METRICS_KEYS, "{metrics}");
+}
+
 /// A cold conversion big enough to hold the sole worker busy for a
 /// long, observable window (hundreds of ms even in release builds).
 fn parking_body() -> Vec<u8> {
@@ -216,7 +332,7 @@ fn shutdown_endpoint_drains_queued_work_before_exit() {
     assert_eq!(parked.recv().unwrap().status, 200);
 
     server.join(); // event loop + workers all exited
-    assert_eq!(app.metrics.total_requests(), 2);
+    assert_eq!(app.obs.stats().requests_total(), 2);
 }
 
 #[test]

@@ -99,6 +99,11 @@ grep -q '^cache_hits_total [1-9]' "$smoke_dir/metrics.txt" \
     || { echo "FAIL: no cache hit recorded in /metrics" >&2; cat "$smoke_dir/metrics.txt" >&2; exit 1; }
 grep -q '^requests_total{endpoint="convert"} 2' "$smoke_dir/metrics.txt" \
     || { echo "FAIL: convert request count wrong in /metrics" >&2; exit 1; }
+# Each series once: a scraper rejects a repeated line key (the text
+# before the last space).
+dup_keys=$(sed 's/ [^ ]*$//' "$smoke_dir/metrics.txt" | sort | uniq -d)
+[ -z "$dup_keys" ] \
+    || { echo "FAIL: duplicate /metrics series keys: $dup_keys" >&2; exit 1; }
 # Mapping as a service: before any corpus, /map must 404; after accreting
 # the golden fixture, POST /map must return exactly the bytes the batch
 # planner (`webre map --json`) produces over the same one-document corpus.
