@@ -45,6 +45,15 @@ const SCALE_DOCS_PER_S_FLOOR: f64 = 10_000.0;
 /// ~8x headroom for slower machines.
 const LINT_FILES_PER_S_FLOOR: f64 = 300.0;
 
+/// Growth ceiling for a live `/schema` recompute (`schema_snapshot/N`
+/// in `BENCH_pipeline.json`, written by the `schema_snapshot` bench):
+/// mining and DTD derivation read per-path aggregates, so quadrupling
+/// the corpus from 1000 to 4000 documents may at most double the median.
+/// The per-document DTD scan this replaced grew at least 4x over the
+/// same range. A ratio of two records from one run, so machine speed
+/// largely cancels.
+const SCHEMA_SNAPSHOT_GROWTH_CEILING: f64 = 2.0;
+
 const PIPELINE_SNAPSHOT: &str = include_str!("../../../BENCH_pipeline.json");
 const SERVE_SNAPSHOT: &str = include_str!("../../../BENCH_serve.json");
 const SCALE_SNAPSHOT: &str = include_str!("../../../BENCH_scale.json");
@@ -96,6 +105,24 @@ fn committed_convert_throughput_within_tolerance() {
             TOLERANCE * 100.0
         );
     }
+}
+
+#[test]
+fn committed_schema_snapshot_does_not_grow_with_the_corpus() {
+    let median = |bench: &str| {
+        lookup(PIPELINE_SNAPSHOT, "bench", bench, "median_ns")
+            .unwrap_or_else(|| panic!("BENCH_pipeline.json has a {bench} record"))
+    };
+    let (small, large) = (median("schema_snapshot/1000"), median("schema_snapshot/4000"));
+    assert!(small > 0.0, "schema_snapshot/1000 median must be positive");
+    let growth = large / small;
+    assert!(
+        growth <= SCHEMA_SNAPSHOT_GROWTH_CEILING,
+        "committed schema recompute grows with the corpus: 4000 docs take \
+         {growth:.2}x the 1000-doc median (ceiling \
+         {SCHEMA_SNAPSHOT_GROWTH_CEILING:.1}x) — derivation is walking \
+         documents again"
+    );
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! eyeball it. The runner attributes failures to `(oracle, case seed)`.
 
 use crate::gen;
-use crate::reference::{ref_matches, ref_mine, sample_word};
+use crate::reference::{ref_derive_dtd, ref_matches, ref_mine, sample_word};
 use std::sync::OnceLock;
 use std::time::Duration;
 use webre_concepts::{Concept, ConceptMatcher, ConceptRole, ConceptSet};
@@ -833,10 +833,15 @@ pub fn trace_noop(rng: &mut StdRng) -> Result<(), String> {
 /// 4. mining the merged table after a JSON round-trip (the
 ///    `/corpus/table` wire format).
 ///
-/// DTD derivation over the shard slices must likewise equal batch
-/// derivation (group patterns stay off: group detection is seeded by the
-/// first observed child sequence, so it is order-sensitive by design and
-/// excluded from the identity).
+/// DTD derivation must likewise equal the reference per-document scan
+/// ([`ref_derive_dtd`]) from four sources — the batch slice, a single
+/// [`webre_schema::CorpusIndex`], the sharded union and the merged table
+/// — under four configurations: the default, `{rep_threshold: 2,
+/// optional_below: 0.75}`, and the two threshold edges `rep_threshold: 0`
+/// (every document counts as repeating, present or not) and
+/// `rep_threshold: 1`. Group patterns stay off: group detection is seeded
+/// by the first observed child sequence, so it is order-sensitive by
+/// design and excluded from the identity.
 pub fn shard_merge_vs_batch(rng: &mut StdRng) -> Result<(), String> {
     use webre_substrate::json::{FromJson, Json, ToJson};
 
@@ -927,30 +932,55 @@ pub fn shard_merge_vs_batch(rng: &mut StdRng) -> Result<(), String> {
         }
     }
 
-    // DTD derivation over shard slices, two configurations.
+    // DTD derivation: every aggregate source against the reference scan.
     if let Some(b) = &batch {
+        use webre_schema::{derive_dtd, derive_dtd_from, CorpusIndex, DtdConfig};
+        let index = CorpusIndex::from_docs(corpus.iter().cloned());
         for config in [
-            webre_schema::DtdConfig::default(),
-            webre_schema::DtdConfig {
+            DtdConfig::default(),
+            DtdConfig {
                 rep_threshold: 2,
                 optional_below: Some(0.75),
-                ..webre_schema::DtdConfig::default()
+                ..DtdConfig::default()
+            },
+            DtdConfig {
+                rep_threshold: 0,
+                ..DtdConfig::default()
+            },
+            DtdConfig {
+                rep_threshold: 1,
+                ..DtdConfig::default()
             },
         ] {
-            let batch_dtd = webre_schema::derive_dtd(&b.schema, &corpus, &config).to_dtd_string();
-            let sharded_dtd =
-                webre_schema::derive_dtd_sharded(&b.schema, &sharded.docs_by_shard(), &config)
-                    .to_dtd_string();
-            if batch_dtd != sharded_dtd {
-                return Err(format!(
-                    "sharded DTD derivation diverged from batch \
-                     (rep_threshold={}, optional_below={:?})\n  {}\n  batch:   {}\n  sharded: {}",
-                    config.rep_threshold,
-                    config.optional_below,
-                    context(),
-                    snippet(&batch_dtd),
-                    snippet(&sharded_dtd)
-                ));
+            let expected = ref_derive_dtd(&b.schema, &corpus, &config).to_dtd_string();
+            let sources = [
+                ("batch slice", derive_dtd(&b.schema, &corpus, &config)),
+                (
+                    "corpus index",
+                    derive_dtd_from(&b.schema, &index, || index.docs(), &config),
+                ),
+                (
+                    "sharded union",
+                    derive_dtd_from(&b.schema, &sharded, || sharded.docs(), &config),
+                ),
+                (
+                    "merged table",
+                    derive_dtd_from(&b.schema, &merged, std::iter::empty, &config),
+                ),
+            ];
+            for (source, dtd) in sources {
+                let derived = dtd.to_dtd_string();
+                if derived != expected {
+                    return Err(format!(
+                        "DTD derived from the {source} diverged from the reference scan \
+                         (rep_threshold={}, optional_below={:?})\n  {}\n  reference: {}\n  {source}: {}",
+                        config.rep_threshold,
+                        config.optional_below,
+                        context(),
+                        snippet(&expected),
+                        snippet(&derived)
+                    ));
+                }
             }
         }
     }

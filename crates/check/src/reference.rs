@@ -3,13 +3,14 @@
 //!
 //! These are deliberately written with *different algorithms* than the
 //! production crates — a position-set regex matcher instead of Brzozowski
-//! derivatives, and a flat enumerate-and-filter miner instead of the
-//! recursive candidate-extension miner — so that a shared bug cannot hide
-//! by construction.
+//! derivatives, a flat enumerate-and-filter miner instead of the
+//! recursive candidate-extension miner, and a per-document scan of the
+//! DTD rules instead of per-path aggregates — so that a shared bug cannot
+//! hide by construction.
 
-use std::collections::BTreeSet;
-use webre_schema::{doc_frequency, DocPaths, LabelPath};
-use webre_xml::ContentExpr;
+use std::collections::{BTreeSet, HashMap};
+use webre_schema::{doc_frequency, DocPaths, DtdConfig, LabelPath, MajoritySchema};
+use webre_xml::{ContentExpr, Dtd};
 
 // ---------------------------------------------------------------------------
 // Reference content-model matcher
@@ -232,6 +233,125 @@ pub fn ref_mine(
         root_label,
         paths: kept,
     })
+}
+
+// ---------------------------------------------------------------------------
+// Reference DTD derivation
+// ---------------------------------------------------------------------------
+
+/// Per-child aggregation across every schema node carrying one label.
+#[derive(Default)]
+struct ChildAgg {
+    pos_sum: f64,
+    pos_count: u64,
+    repetitive: bool,
+    /// Schema contexts (nodes of the parent label) this child occurs under.
+    contexts: usize,
+    /// Max presence ratio (docs with child path / docs with parent path)
+    /// over the contexts, for the optional-element extension.
+    presence: f64,
+}
+
+/// The Section 3.3 ordering and repetition rules, with per-label
+/// unification and the optional-element extension, evaluated by scanning
+/// every document for every schema edge — O(schema × corpus). This is
+/// the derivation production ran before it read per-path aggregates.
+///
+/// [`DtdConfig::group_patterns`] is not modelled: group detection is
+/// order-dependent by design and stays out of the oracle's identity.
+pub fn ref_derive_dtd(schema: &MajoritySchema, corpus: &[DocPaths], config: &DtdConfig) -> Dtd {
+    assert!(
+        !config.group_patterns,
+        "the reference derivation does not model group patterns"
+    );
+    let mut dtd = Dtd::new(schema.root_label());
+
+    // Group schema nodes by label, preserving first-seen (pre-order) order.
+    let mut labels: Vec<String> = Vec::new();
+    let mut nodes_by_label: HashMap<String, Vec<_>> = HashMap::new();
+    for id in schema.tree.descendants(schema.tree.root()) {
+        let label = schema.tree.value(id).label.clone();
+        if !labels.contains(&label) {
+            labels.push(label.clone());
+        }
+        nodes_by_label.entry(label).or_default().push(id);
+    }
+
+    for label in labels {
+        let nodes = &nodes_by_label[&label];
+
+        // Aggregate children over all contexts of this label.
+        let mut child_order: Vec<String> = Vec::new();
+        let mut agg: HashMap<String, ChildAgg> = HashMap::new();
+        for &id in nodes {
+            let prefix = schema.path_of(id);
+            let prefix_docs = doc_frequency(corpus, &prefix).max(1);
+            for child in schema.tree.children(id) {
+                let child_label = schema.tree.value(child).label.clone();
+                let mut path = prefix.clone();
+                path.push(child_label.clone());
+                if !child_order.contains(&child_label) {
+                    child_order.push(child_label.clone());
+                }
+                let entry = agg.entry(child_label).or_default();
+                for doc in corpus {
+                    if let Some((s, c)) = doc.positions.get(&path) {
+                        entry.pos_sum += s;
+                        entry.pos_count += c;
+                    }
+                }
+                let rep_docs = corpus
+                    .iter()
+                    .filter(|d| d.multiplicity_of(&path) >= config.rep_threshold)
+                    .count();
+                let path_docs = doc_frequency(corpus, &path);
+                if rep_docs as f64 > config.mult_threshold * path_docs.max(1) as f64 {
+                    entry.repetitive = true;
+                }
+                entry.contexts += 1;
+                entry.presence = entry.presence.max(path_docs as f64 / prefix_docs as f64);
+            }
+        }
+
+        // Ordering rule over the aggregated positions.
+        let mut children: Vec<(f64, String)> = child_order
+            .into_iter()
+            .map(|l| {
+                let a = &agg[&l];
+                let avg = if a.pos_count > 0 {
+                    a.pos_sum / a.pos_count as f64
+                } else {
+                    f64::MAX
+                };
+                (avg, l)
+            })
+            .collect();
+        children.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
+
+        let content = if children.is_empty() {
+            ContentExpr::PcData
+        } else {
+            let mut items = vec![ContentExpr::PcData];
+            for (_, child_label) in children {
+                let a = &agg[&child_label];
+                let mut expr = ContentExpr::Name(child_label);
+                if a.repetitive {
+                    expr = ContentExpr::Plus(Box::new(expr));
+                } else if a.contexts < nodes.len()
+                    || config.optional_below.is_some_and(|t| a.presence < t)
+                {
+                    // Unification: a child absent from some context of the
+                    // label must be optional for documents following that
+                    // context to validate.
+                    expr = ContentExpr::Opt(Box::new(expr));
+                }
+                items.push(expr);
+            }
+            ContentExpr::Seq(items)
+        };
+        dtd.declare(label, content);
+    }
+    dtd
 }
 
 #[cfg(test)]

@@ -9,13 +9,17 @@
 //! the safe range, and the substrate serializer prints shortest
 //! round-trip forms.
 //!
+//! A [`PathTable`] entry is `{"p": path, "f": documents, "s": position
+//! sum, "n": position count, "m": [[num, documents], ...]}`, the last
+//! listing the documents per recorded multiplicity in ascending `num`.
+//!
 //! The [`DocPaths`] codec is lossless for any value produced by
 //! [`crate::extract_paths`], where the multiplicity and position maps
 //! are keyed exactly by the recorded path set and child sequences only
 //! exist for non-leaf paths — the invariant the decoder rebuilds from.
 
 use crate::paths::DocPaths;
-use crate::sharded::PathTable;
+use crate::sharded::{PathStats, PathTable};
 use webre_substrate::json::{FromJson, Json, JsonError, ToJson};
 
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
@@ -126,21 +130,24 @@ impl FromJson for DocPaths {
 
 impl ToJson for PathTable {
     fn to_json(&self) -> Json {
-        // frequency and positions are BTreeMaps over the same key set
-        // (every supported path has a position entry, possibly (0, 0) is
-        // impossible via extraction but tolerated); iterate frequency —
-        // already in canonical sorted order.
+        // The table is a BTreeMap, already in canonical sorted order.
         let entries: Vec<Json> = self
-            .frequency
+            .paths
             .iter()
-            .map(|(path, count)| {
-                let (pos_sum, pos_count) =
-                    self.positions.get(path).copied().unwrap_or((0.0, 0));
+            .map(|(path, stats)| {
+                let multiplicity = stats
+                    .multiplicity
+                    .iter()
+                    .map(|&(num, docs)| {
+                        Json::Arr(vec![Json::Num(f64::from(num)), Json::Num(docs as f64)])
+                    })
+                    .collect();
                 Json::Obj(vec![
                     ("p".to_owned(), path_json(path)),
-                    ("f".to_owned(), Json::Num(*count as f64)),
-                    ("s".to_owned(), Json::Num(pos_sum)),
-                    ("n".to_owned(), Json::Num(pos_count as f64)),
+                    ("f".to_owned(), Json::Num(stats.frequency as f64)),
+                    ("s".to_owned(), Json::Num(stats.pos_sum)),
+                    ("n".to_owned(), Json::Num(stats.pos_count as f64)),
+                    ("m".to_owned(), Json::Arr(multiplicity)),
                 ])
             })
             .collect();
@@ -165,13 +172,27 @@ impl FromJson for PathTable {
                 return err(format!("table entry needs a \"p\" field: {entry}"));
             };
             let path = path_from(path_value)?;
-            let support = get_num(entry, "f")? as usize;
-            let pos_sum = get_num(entry, "s")?;
-            let pos_count = get_num(entry, "n")? as u64;
-            table.frequency.insert(path.clone(), support);
-            if pos_count > 0 {
-                table.positions.insert(path, (pos_sum, pos_count));
+            let mut stats = PathStats {
+                frequency: get_num(entry, "f")? as usize,
+                pos_sum: get_num(entry, "s")?,
+                pos_count: get_num(entry, "n")? as u64,
+                multiplicity: Vec::new(),
+            };
+            let Some(pairs) = entry.get("m").and_then(Json::as_arr) else {
+                return err(format!("table entry needs an \"m\" array: {entry}"));
+            };
+            for pair in pairs {
+                match pair.as_arr() {
+                    Some([num, docs]) => match (num.as_f64(), docs.as_f64()) {
+                        (Some(num), Some(docs)) if num >= 1.0 && docs >= 1.0 => {
+                            stats.add_multiplicity(num as u32, docs as usize);
+                        }
+                        _ => return err(format!("bad multiplicity count {pair}")),
+                    },
+                    _ => return err(format!("multiplicity count must be [num, docs]: {pair}")),
+                }
             }
+            table.paths.insert(path, stats);
         }
         Ok(table)
     }

@@ -21,10 +21,30 @@
 //! conversion stores recovered text in `val` attributes, but paper-style
 //! DTDs spell the text slot explicitly, e.g.
 //! `<!ELEMENT resume ((#PCDATA), contact+, ...)>`).
+//!
+//! Both rules read only per-path sums over documents — position sums and
+//! counts, document frequencies, and documents per recorded multiplicity
+//! — the same associative algebra mining reads. The derivation therefore
+//! runs over a [`DtdView`] ([`crate::PathTable`], [`crate::CorpusIndex`]
+//! or [`crate::ShardedCorpus`]) in O(schema paths) lookups and never walks
+//! the documents; only the order-dependent group-pattern extension reads
+//! them. `webre-check`'s `shard-merge-vs-batch` oracle holds every view
+//! equal to a per-document scan of the same rules.
 
+use crate::frequent::CorpusView;
 use crate::majority::MajoritySchema;
 use crate::paths::DocPaths;
+use crate::sharded::{PathStats, PathTable};
 use webre_xml::{ContentExpr, Dtd};
+
+/// The per-path aggregates DTD derivation reads, beside the miner's
+/// [`CorpusView`]. [`crate::CorpusIndex`] and [`PathTable`] answer from
+/// their own map; [`crate::ShardedCorpus`] sums its shards' answers.
+pub trait DtdView: CorpusView {
+    /// The aggregate of `path` over every document of the view (all
+    /// zero when no document contains it).
+    fn path_stats(&self, path: &[String]) -> PathStats;
+}
 
 /// Thresholds for DTD derivation.
 #[derive(Clone, Copy, Debug)]
@@ -136,33 +156,49 @@ struct ChildAgg {
 /// fires if any context shows repetition, and a child missing from some
 /// context becomes optional (required for soundness: a document following
 /// the child-free context must still validate).
+///
+/// Aggregates the corpus into one [`PathTable`] in a single pass, then
+/// runs [`derive_dtd_from`] over it.
 pub fn derive_dtd(schema: &MajoritySchema, corpus: &[DocPaths], config: &DtdConfig) -> Dtd {
-    derive_dtd_sharded(schema, &[corpus.iter().collect()], config)
+    webre_obs::span(webre_obs::stage::DERIVE_DTD, || {
+        derive_unified(schema, &PathTable::from_docs(corpus), || corpus, config)
+    })
 }
 
-/// [`derive_dtd`] over a corpus split into shard slices.
+/// [`derive_dtd`] over any [`DtdView`] — a live index, a sharded corpus
+/// or a merged table.
 ///
-/// Every statistic the two derivation rules consume is an associative
-/// aggregate over documents — position sums, per-path document counts,
-/// repetition counts — so deriving from shard slices is byte-identical
-/// to deriving from the concatenated corpus under the default
-/// configuration. The one exception is [`DtdConfig::group_patterns`]:
-/// group detection seeds from the *first* non-empty child sequence, so
-/// with it enabled the derived DTD depends on document order and the
-/// identity only holds when shard order is arrival order.
+/// Every statistic the two rules consume is an associative aggregate
+/// over documents, so every view of the same document multiset derives
+/// the byte-identical DTD. `docs` is called only when
+/// [`DtdConfig::group_patterns`] is set: group detection seeds from the
+/// *first* non-empty child sequence, so it reads the documents in the
+/// order `docs` yields them and the derived DTD depends on that order. A
+/// view without documents (a [`PathTable`]) passes an empty iterator and
+/// gets the per-element rules.
 ///
 /// The derivation runs under a `derive-dtd` span.
-pub fn derive_dtd_sharded(
+pub fn derive_dtd_from<'a, D: IntoIterator<Item = &'a DocPaths>>(
     schema: &MajoritySchema,
-    shards: &[Vec<&DocPaths>],
+    view: &(impl DtdView + ?Sized),
+    docs: impl FnOnce() -> D,
     config: &DtdConfig,
 ) -> Dtd {
-    webre_obs::span(webre_obs::stage::DERIVE_DTD, || derive_unified(schema, shards, config))
+    webre_obs::span(webre_obs::stage::DERIVE_DTD, || {
+        derive_unified(schema, view, docs, config)
+    })
 }
 
 /// The derivation itself: one content model per label.
-fn derive_unified(schema: &MajoritySchema, shards: &[Vec<&DocPaths>], config: &DtdConfig) -> Dtd {
+fn derive_unified<'a, D: IntoIterator<Item = &'a DocPaths>>(
+    schema: &MajoritySchema,
+    view: &(impl DtdView + ?Sized),
+    docs: impl FnOnce() -> D,
+    config: &DtdConfig,
+) -> Dtd {
     let mut dtd = Dtd::new(schema.root_label());
+    let group_docs: Option<Vec<&DocPaths>> =
+        config.group_patterns.then(|| docs().into_iter().collect());
 
     // Group schema nodes by label, preserving first-seen (pre-order) order.
     let mut labels: Vec<String> = Vec::new();
@@ -182,8 +218,8 @@ fn derive_unified(schema: &MajoritySchema, shards: &[Vec<&DocPaths>], config: &D
         // XTRACT-style extension: a repeating group pattern takes
         // precedence over the per-element ordering/repetition rules, but
         // only when it holds across every context of the label.
-        if config.group_patterns {
-            if let Some(content) = group_pattern_content(schema, shards, nodes, config) {
+        if let Some(docs) = &group_docs {
+            if let Some(content) = group_pattern_content(schema, docs, nodes, config) {
                 dtd.declare(label, content);
                 continue;
             }
@@ -195,7 +231,7 @@ fn derive_unified(schema: &MajoritySchema, shards: &[Vec<&DocPaths>], config: &D
             std::collections::HashMap::new();
         for &id in nodes {
             let prefix = schema.path_of(id);
-            let prefix_docs = sharded_doc_frequency(shards, &prefix).max(1);
+            let prefix_docs = view.frequency(&prefix).max(1);
             for child in schema.tree.children(id) {
                 let child_label = schema.tree.value(child).label.clone();
                 let mut path = prefix.clone();
@@ -204,16 +240,17 @@ fn derive_unified(schema: &MajoritySchema, shards: &[Vec<&DocPaths>], config: &D
                     child_order.push(child_label.clone());
                 }
                 let entry = agg.entry(child_label).or_default();
-                for doc in all_docs(shards) {
-                    if let Some((s, c)) = doc.positions.get(&path) {
-                        entry.pos_sum += s;
-                        entry.pos_count += c;
-                    }
-                }
-                let rep_docs = all_docs(shards)
-                    .filter(|d| d.multiplicity_of(&path) >= config.rep_threshold)
-                    .count();
-                let path_docs = sharded_doc_frequency(shards, &path);
+                let stats = view.path_stats(&path);
+                entry.pos_sum += stats.pos_sum;
+                entry.pos_count += stats.pos_count;
+                // A document lacking the path has multiplicity 0, so a
+                // zero threshold counts every document of the corpus.
+                let rep_docs = if config.rep_threshold == 0 {
+                    view.doc_count()
+                } else {
+                    stats.docs_with_multiplicity_at_least(config.rep_threshold)
+                };
+                let path_docs = stats.frequency;
                 if rep_docs as f64 > config.mult_threshold * path_docs.max(1) as f64 {
                     entry.repetitive = true;
                 }
@@ -265,25 +302,11 @@ fn derive_unified(schema: &MajoritySchema, shards: &[Vec<&DocPaths>], config: &D
     dtd
 }
 
-/// Documents of every shard, in shard order then arrival order.
-fn all_docs<'a>(shards: &'a [Vec<&'a DocPaths>]) -> impl Iterator<Item = &'a DocPaths> {
-    shards.iter().flatten().copied()
-}
-
-/// Document frequency of a path summed across shard views (shards hold
-/// disjoint document sets, so the sum is the union's frequency).
-fn sharded_doc_frequency(shards: &[Vec<&DocPaths>], path: &[String]) -> usize {
-    shards
-        .iter()
-        .map(|s| s.iter().filter(|d| d.contains(path)).count())
-        .sum()
-}
-
 /// Group-pattern content model for a label, if one group explains every
 /// context's sequences.
 fn group_pattern_content(
     schema: &MajoritySchema,
-    shards: &[Vec<&DocPaths>],
+    docs: &[&DocPaths],
     nodes: &[webre_tree::NodeId],
     config: &DtdConfig,
 ) -> Option<ContentExpr> {
@@ -297,7 +320,7 @@ fn group_pattern_content(
             }
         }
         let prefix = schema.path_of(id);
-        for doc in all_docs(shards) {
+        for doc in docs {
             if let Some(seqs) = doc.child_sequences.get(&prefix) {
                 sequences.extend(seqs.iter().cloned());
             }
@@ -559,8 +582,9 @@ mod tests {
     #[test]
     fn sharded_derivation_equals_batch_for_every_split() {
         // The derivation rules consume only associative aggregates, so
-        // any 2-way split of the corpus must derive the identical DTD
-        // (group_patterns off — the default — is the documented scope).
+        // any split of the corpus into shards, and the merge of the
+        // per-split tables, must derive the identical DTD (group_patterns
+        // off — the default — is the documented scope).
         let docs = corpus(&[
             "<r><a/><a/><a/><b><c/></b></r>",
             "<r><b><c/></b><a/></r>",
@@ -569,6 +593,20 @@ mod tests {
             "<r><a/><b><c/><c/><c/></b></r>",
         ]);
         let schema = mine(&docs, 0.4);
+        let split = |parts: &[&[DocPaths]], config: &DtdConfig| {
+            let mut sharded = crate::ShardedCorpus::new(parts.len());
+            for (shard, part) in parts.iter().enumerate() {
+                for doc in *part {
+                    sharded.push_to(shard, doc.clone());
+                }
+            }
+            let tables: Vec<PathTable> = parts.iter().map(|p| PathTable::from_docs(*p)).collect();
+            let merged = PathTable::merged(&tables);
+            let by_table = derive_dtd_from(&schema, &merged, std::iter::empty, config);
+            let by_shards = derive_dtd_from(&schema, &sharded, || sharded.docs(), config);
+            assert_eq!(by_table.to_dtd_string(), by_shards.to_dtd_string());
+            by_shards.to_dtd_string()
+        };
         for config in [
             DtdConfig::default(),
             DtdConfig {
@@ -578,28 +616,12 @@ mod tests {
             },
         ] {
             let batch = derive_dtd(&schema, &docs, &config).to_dtd_string();
-            for split in 0..=docs.len() {
-                let (left, right) = docs.split_at(split);
-                let sharded = derive_dtd_sharded(
-                    &schema,
-                    &[left.iter().collect(), right.iter().collect()],
-                    &config,
-                )
-                .to_dtd_string();
-                assert_eq!(batch, sharded, "split at {split}");
+            for at in 0..=docs.len() {
+                let (left, right) = docs.split_at(at);
+                assert_eq!(batch, split(&[left, right], &config), "split at {at}");
             }
             // Three-way split, shards of unequal size.
-            let sharded = derive_dtd_sharded(
-                &schema,
-                &[
-                    docs[..1].iter().collect(),
-                    docs[1..4].iter().collect(),
-                    docs[4..].iter().collect(),
-                ],
-                &config,
-            )
-            .to_dtd_string();
-            assert_eq!(batch, sharded);
+            assert_eq!(batch, split(&[&docs[..1], &docs[1..4], &docs[4..]], &config));
         }
     }
 

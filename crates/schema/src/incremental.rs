@@ -4,20 +4,26 @@
 //! miner a slice, which answers every `doc_frequency` query by scanning
 //! the whole corpus — O(documents) per candidate path. A long-running
 //! service accretes documents one at a time and recomputes the schema
-//! repeatedly, so [`CorpusIndex`] maintains the three tables the miner's
-//! [`CorpusView`] interface needs as documents arrive:
+//! repeatedly, so [`CorpusIndex`] maintains, as documents arrive, the
+//! tables the miner's [`CorpusView`] and the DTD rules' [`DtdView`]
+//! read:
 //!
-//! * a document-frequency map `path → count` (each document contributes
-//!   each of its label paths once — path sets, per Section 3.2);
+//! * one [`PathStats`] per distinct label path: document frequency (each
+//!   document contributes each of its label paths once — path sets, per
+//!   Section 3.2), the ordering rule's position sum and count, and the
+//!   repetition rule's documents per recorded multiplicity;
 //! * a children index `prefix → sorted child labels`, the candidate
 //!   generator of the frequent-path search;
 //! * root-label votes for majority-root election.
 //!
 //! Accreting a document is O(paths in that document); mining then runs
-//! with O(1) frequency lookups instead of O(n) scans. The original
-//! `DocPaths` values are retained (they carry the multiplicity, position
-//! and child-sequence bookkeeping DTD derivation needs), so
-//! [`CorpusIndex::docs`] slots directly into [`crate::derive_dtd`].
+//! with O(1) frequency lookups instead of O(n) scans, and DTD derivation
+//! reads O(1) aggregates per schema path, never the documents. The
+//! original `DocPaths` values are still retained, for the two consumers
+//! that need whole documents: the order-dependent group-pattern
+//! extension ([`crate::DtdConfig::group_patterns`], off by default) and
+//! WAL compaction, which rewrites each shard's log from
+//! [`CorpusIndex::docs`].
 //!
 //! # Shape interning
 //!
@@ -30,8 +36,8 @@
 //! shape table and each accreted document is a 4-byte id in arrival
 //! order. Equality is exact (hash buckets are confirmed with a full
 //! `DocPaths` comparison), so [`CorpusIndex::docs`] yields precisely
-//! the accreted multiset in arrival order — byte-identical mining and
-//! DTD derivation, at ~4 bytes per duplicate document.
+//! the accreted multiset in arrival order, at ~4 bytes per duplicate
+//! document.
 //!
 //! The index is append-only by design: document *removal* would require
 //! decrementing every table, and no current workload retires documents
@@ -39,8 +45,10 @@
 //! snapshot consumers (the `/schema` endpoint) can cheaply detect
 //! staleness.
 
+use crate::dtd_rules::DtdView;
 use crate::frequent::CorpusView;
 use crate::paths::{DocPaths, LabelPath};
+use crate::sharded::{PathStats, PathTable};
 use std::collections::{BTreeSet, HashMap};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -108,7 +116,8 @@ pub struct CorpusIndex {
     order: Vec<u32>,
     /// Shape-hash → candidate shape ids (collision bucket).
     intern: HashMap<u64, Vec<u32>>,
-    frequency: HashMap<LabelPath, usize>,
+    /// One aggregate per distinct label path.
+    stats: HashMap<LabelPath, PathStats>,
     children: HashMap<LabelPath, BTreeSet<String>>,
     root_votes: HashMap<String, usize>,
     version: u64,
@@ -129,18 +138,35 @@ impl CorpusIndex {
         index
     }
 
-    /// Accretes one document, updating every table. O(paths in `doc`).
+    /// Accretes one document, updating every table. O(paths in `doc`);
+    /// keys and labels are cloned only when they are new to a table.
     pub fn push(&mut self, doc: DocPaths) {
         for path in &doc.paths {
-            *self.frequency.entry(path.clone()).or_insert(0) += 1;
-            if path.len() > 1 {
-                self.children
-                    .entry(path[..path.len() - 1].to_vec())
-                    .or_default()
-                    .insert(path.last().expect("non-empty path").clone());
+            match self.stats.get_mut(path.as_slice()) {
+                Some(stats) => stats.add_doc(&doc, path),
+                None => {
+                    self.stats.insert(path.clone(), PathStats::of(&doc, path));
+                }
+            }
+            if let Some((label, prefix)) = path.split_last().filter(|(_, p)| !p.is_empty()) {
+                match self.children.get_mut(prefix) {
+                    Some(labels) if labels.contains(label) => {}
+                    Some(labels) => {
+                        labels.insert(label.clone());
+                    }
+                    None => {
+                        self.children
+                            .insert(prefix.to_vec(), BTreeSet::from([label.clone()]));
+                    }
+                }
             }
         }
-        *self.root_votes.entry(doc.root_label.clone()).or_insert(0) += 1;
+        match self.root_votes.get_mut(&doc.root_label) {
+            Some(votes) => *votes += 1,
+            None => {
+                self.root_votes.insert(doc.root_label.clone(), 1);
+            }
+        }
         let id = self.intern_shape(doc);
         self.order.push(id);
         self.version += 1;
@@ -162,9 +188,8 @@ impl CorpusIndex {
         id
     }
 
-    /// The accreted documents, in arrival order with repetitions (feeds
-    /// [`crate::derive_dtd`]). Duplicates yield the same interned
-    /// `DocPaths` reference.
+    /// The accreted documents, in arrival order with repetitions.
+    /// Duplicates yield the same interned `DocPaths` reference.
     pub fn docs(&self) -> impl Iterator<Item = &DocPaths> + '_ {
         self.order.iter().map(|&id| &self.shapes[id as usize])
     }
@@ -189,13 +214,19 @@ impl CorpusIndex {
         self.version
     }
 
+    /// The aggregate of one label path, `None` when no accreted
+    /// document contains it.
+    pub(crate) fn stats_of(&self, path: &[String]) -> Option<&PathStats> {
+        self.stats.get(path)
+    }
+
     /// Merges another index into this one: tables add pointwise, the
     /// children relation unions, and `other`'s documents append after
     /// this index's. Absorbing indexes built over disjoint document sets
     /// yields exactly the index of the concatenation.
     pub fn absorb(&mut self, other: CorpusIndex) {
-        for (path, count) in other.frequency {
-            *self.frequency.entry(path).or_insert(0) += count;
+        for (path, stats) in other.stats {
+            self.stats.entry(path).or_default().merge_from(&stats);
         }
         // webre::allow(nondet-iter): each entry extends its own BTreeSet, which sorts itself
         for (prefix, labels) in other.children {
@@ -216,10 +247,20 @@ impl CorpusIndex {
         self.version += other.version;
     }
 
-    /// The mergeable [`crate::PathTable`] aggregate of this index's
-    /// documents.
-    pub fn table(&self) -> crate::PathTable {
-        crate::PathTable::from_docs(self.docs())
+    /// The mergeable [`PathTable`] aggregate of this index's documents,
+    /// built from the per-path aggregates in O(distinct paths).
+    pub fn table(&self) -> PathTable {
+        let mut table = PathTable::new();
+        self.merge_into(&mut table);
+        table
+    }
+
+    /// Adds this index's documents and per-path aggregates into `table`.
+    pub(crate) fn merge_into(&self, table: &mut PathTable) {
+        table.doc_count += self.len();
+        for (path, stats) in &self.stats {
+            table.merge_path(path, stats);
+        }
     }
 }
 
@@ -229,7 +270,7 @@ impl CorpusView for CorpusIndex {
     }
 
     fn frequency(&self, path: &[String]) -> usize {
-        self.frequency.get(path).copied().unwrap_or(0)
+        self.stats.get(path).map_or(0, |stats| stats.frequency)
     }
 
     fn child_labels(&self, prefix: &[String]) -> Vec<String> {
@@ -247,6 +288,12 @@ impl CorpusView for CorpusIndex {
             .collect();
         votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         votes
+    }
+}
+
+impl DtdView for CorpusIndex {
+    fn path_stats(&self, path: &[String]) -> PathStats {
+        self.stats_of(path).cloned().unwrap_or_default()
     }
 }
 

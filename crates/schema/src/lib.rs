@@ -23,9 +23,9 @@ pub mod search_space;
 pub mod sharded;
 
 pub use codec::{doc_from_record, doc_to_record};
-pub use dtd_rules::{derive_dtd, derive_dtd_sharded, DtdConfig};
+pub use dtd_rules::{derive_dtd, derive_dtd_from, DtdConfig, DtdView};
 pub use frequent::{CorpusView, FrequentPathMiner, MiningOutcome};
 pub use incremental::CorpusIndex;
 pub use majority::{MajoritySchema, SchemaNode};
 pub use paths::{average_position, doc_frequency, extract_paths, DocPaths, LabelPath};
-pub use sharded::{PathTable, ShardedCorpus};
+pub use sharded::{PathStats, PathTable, ShardedCorpus};

@@ -1,45 +1,117 @@
-//! Sharded corpora and the mergeable frequent-path table.
+//! Sharded corpora and the mergeable per-path table.
 //!
-//! The frequent-path statistics the miner consumes are all *associative*
-//! aggregates: document-support counts add, sibling-position sums add,
+//! Everything mining and DTD derivation read is an *associative*
+//! aggregate over documents: document-support counts add,
+//! sibling-position sums add, the per-multiplicity document counts add,
 //! root votes add, and the candidate-children relation is a set union.
-//! That algebra is what makes a corpus shardable — each shard maintains
-//! its own [`CorpusIndex`], and merging the per-shard [`PathTable`]s
-//! yields byte-for-byte the table a single index over the union would
-//! have produced, regardless of how documents were split or in which
-//! order shards are merged. `crates/check`'s `shard-merge-vs-batch`
-//! oracle holds this identity under random corpora, shard counts and
-//! mining thresholds.
+//! [`PathStats`] holds one path's share of that algebra. It is what
+//! makes a corpus shardable: each shard maintains its own
+//! [`CorpusIndex`], and merging the per-shard [`PathTable`]s yields
+//! byte-for-byte the table a single index over the union would have
+//! produced, regardless of how documents were split or in which order
+//! shards are merged. `crates/check`'s `shard-merge-vs-batch` oracle
+//! holds this identity under random corpora, shard counts, mining
+//! thresholds and DTD configurations.
 //!
 //! [`ShardedCorpus`] routes each document to a shard by content hash and
-//! implements [`CorpusView`] over the union by summing per-shard
-//! answers, so mining a sharded corpus explores the exact node set (and
-//! produces the exact schema) batch mining over the concatenated
-//! documents would.
+//! implements [`CorpusView`] and [`DtdView`] over the union by summing
+//! per-shard answers, so mining a sharded corpus explores the exact node
+//! set (and produces the exact schema and DTD) batch processing over the
+//! concatenated documents would.
 
+use crate::dtd_rules::DtdView;
 use crate::frequent::CorpusView;
 use crate::incremental::CorpusIndex;
 use crate::paths::{DocPaths, LabelPath};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
-/// The mergeable aggregate of a document set: everything the miner needs
-/// (support counts, candidate children, root votes) plus the ordering
-/// rule's position sums, with merge = pointwise addition.
+/// One label path's aggregate over a document set: what the miner reads
+/// (document frequency) and what the two DTD rules read (position sums
+/// for ordering, per-multiplicity document counts for repetition). Merge
+/// is pointwise addition.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PathStats {
+    /// Documents containing the path (each counts once — path *sets*,
+    /// per Section 3.2).
+    pub(crate) frequency: usize,
+    /// Sum of the 0-based sibling positions of the path's nodes. Positions
+    /// are integers, so the `f64` sum is exact and order-insensitive.
+    pub(crate) pos_sum: f64,
+    /// Number of nodes the positions were taken over.
+    pub(crate) pos_count: u64,
+    /// `(num, documents)` ascending by `num`: how many documents recorded
+    /// the multiplicity `⟨p, num⟩` (`num ≥ 1`).
+    pub(crate) multiplicity: Vec<(u32, usize)>,
+}
+
+impl PathStats {
+    /// The aggregate of one document's `path`, a member of `doc.paths`.
+    pub(crate) fn of(doc: &DocPaths, path: &[String]) -> Self {
+        let mut stats = PathStats::default();
+        stats.add_doc(doc, path);
+        stats
+    }
+
+    /// Adds one document's contribution for `path`, a member of
+    /// `doc.paths`. Extraction keys the position and multiplicity maps by
+    /// exactly the path set, so visiting the path set sees every entry.
+    pub(crate) fn add_doc(&mut self, doc: &DocPaths, path: &[String]) {
+        self.frequency += 1;
+        if let Some((sum, count)) = doc.positions.get(path) {
+            self.pos_sum += sum;
+            self.pos_count += count;
+        }
+        let num = doc.multiplicity_of(path);
+        if num > 0 {
+            self.add_multiplicity(num, 1);
+        }
+    }
+
+    pub(crate) fn add_multiplicity(&mut self, num: u32, docs: usize) {
+        match self.multiplicity.binary_search_by_key(&num, |&(n, _)| n) {
+            Ok(i) => self.multiplicity[i].1 += docs,
+            Err(i) => self.multiplicity.insert(i, (num, docs)),
+        }
+    }
+
+    /// Pointwise addition of another aggregate of the same path.
+    pub(crate) fn merge_from(&mut self, other: &PathStats) {
+        self.frequency += other.frequency;
+        self.pos_sum += other.pos_sum;
+        self.pos_count += other.pos_count;
+        for &(num, docs) in &other.multiplicity {
+            self.add_multiplicity(num, docs);
+        }
+    }
+
+    /// Documents that recorded a multiplicity of at least `threshold`.
+    /// A document lacking the path records none (its multiplicity reads
+    /// as 0), so for `threshold == 0` the repetition rule counts the
+    /// corpus's whole document count instead of this value.
+    pub(crate) fn docs_with_multiplicity_at_least(&self, threshold: u32) -> usize {
+        self.multiplicity
+            .iter()
+            .filter(|(num, _)| *num >= threshold)
+            .map(|(_, docs)| docs)
+            .sum()
+    }
+}
+
+/// The mergeable aggregate of a document set: one [`PathStats`] per
+/// label path — everything the miner needs (support counts, candidate
+/// children, root votes) and everything the DTD rules need — with merge
+/// = pointwise addition.
 ///
-/// Keys are held in `BTreeMap`s so every traversal of the table is in
+/// Keys are held in a `BTreeMap` so every traversal of the table is in
 /// sorted path order — serialization and queries are deterministic no
 /// matter what order documents or merges arrived in.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PathTable {
     /// Documents aggregated into this table.
     pub doc_count: usize,
-    /// Document-support count per label path (each document counts once
-    /// per path it contains — path *sets*, per Section 3.2).
-    pub frequency: BTreeMap<LabelPath, usize>,
-    /// Sum and count of 0-based sibling positions per label path (the
-    /// ordering rule averages `sum / count`).
-    pub positions: BTreeMap<LabelPath, (f64, u64)>,
+    /// The aggregate of every label path some document contains.
+    pub paths: BTreeMap<LabelPath, PathStats>,
 }
 
 impl PathTable {
@@ -57,30 +129,37 @@ impl PathTable {
         table
     }
 
-    /// Aggregates one document. O(paths in `doc` · log table).
+    /// Aggregates one document. O(paths in `doc` · log table); a key is
+    /// cloned only the first time its path is seen.
     pub fn add_doc(&mut self, doc: &DocPaths) {
         for path in &doc.paths {
-            *self.frequency.entry(path.clone()).or_insert(0) += 1;
-        }
-        for (path, (sum, count)) in &doc.positions {
-            let entry = self.positions.entry(path.clone()).or_insert((0.0, 0));
-            entry.0 += sum;
-            entry.1 += count;
+            match self.paths.get_mut(path.as_slice()) {
+                Some(stats) => stats.add_doc(doc, path),
+                None => {
+                    self.paths.insert(path.clone(), PathStats::of(doc, path));
+                }
+            }
         }
         self.doc_count += 1;
+    }
+
+    /// Adds `stats` into the entry of `path`, cloning the key only when
+    /// the path is new to the table. Does not touch `doc_count`.
+    pub(crate) fn merge_path(&mut self, path: &[String], stats: &PathStats) {
+        match self.paths.get_mut(path) {
+            Some(entry) => entry.merge_from(stats),
+            None => {
+                self.paths.insert(path.to_vec(), stats.clone());
+            }
+        }
     }
 
     /// Pointwise addition of another table — the merge half of the
     /// merge ≡ batch identity.
     pub fn merge_from(&mut self, other: &PathTable) {
         self.doc_count += other.doc_count;
-        for (path, count) in &other.frequency {
-            *self.frequency.entry(path.clone()).or_insert(0) += count;
-        }
-        for (path, (sum, count)) in &other.positions {
-            let entry = self.positions.entry(path.clone()).or_insert((0.0, 0));
-            entry.0 += sum;
-            entry.1 += count;
+        for (path, stats) in &other.paths {
+            self.merge_path(path, stats);
         }
     }
 
@@ -95,15 +174,15 @@ impl PathTable {
 
     /// Average sibling position of a path, `None` when unobserved.
     pub fn average_position(&self, path: &[String]) -> Option<f64> {
-        self.positions
+        self.paths
             .get(path)
-            .filter(|(_, count)| *count > 0)
-            .map(|(sum, count)| sum / *count as f64)
+            .filter(|stats| stats.pos_count > 0)
+            .map(|stats| stats.pos_sum / stats.pos_count as f64)
     }
 
     /// Number of distinct label paths with support.
     pub fn distinct_paths(&self) -> usize {
-        self.frequency.len()
+        self.paths.len()
     }
 }
 
@@ -113,7 +192,7 @@ impl CorpusView for PathTable {
     }
 
     fn frequency(&self, path: &[String]) -> usize {
-        self.frequency.get(path).copied().unwrap_or(0)
+        self.paths.get(path).map_or(0, |stats| stats.frequency)
     }
 
     fn child_labels(&self, prefix: &[String]) -> Vec<String> {
@@ -124,7 +203,7 @@ impl CorpusView for PathTable {
         let mut out = Vec::new();
         let start: LabelPath = prefix.to_vec();
         for (path, _) in self
-            .frequency
+            .paths
             .range::<LabelPath, _>((Bound::Included(&start), Bound::Unbounded))
         {
             if !path.starts_with(prefix) {
@@ -139,16 +218,22 @@ impl CorpusView for PathTable {
 
     fn root_votes(&self) -> Vec<(String, usize)> {
         // Every document contributes exactly one length-1 path — its
-        // root — so root votes are the depth-1 slice of the frequency
-        // table rather than separate state.
+        // root — so root votes are the depth-1 slice of the table rather
+        // than separate state.
         let mut votes: Vec<(String, usize)> = self
-            .frequency
+            .paths
             .iter()
             .filter(|(path, _)| path.len() == 1)
-            .map(|(path, count)| (path[0].clone(), *count))
+            .map(|(path, stats)| (path[0].clone(), stats.frequency))
             .collect();
         votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         votes
+    }
+}
+
+impl DtdView for PathTable {
+    fn path_stats(&self, path: &[String]) -> PathStats {
+        self.paths.get(path).cloned().unwrap_or_default()
     }
 }
 
@@ -196,10 +281,11 @@ impl ShardedCorpus {
         &self.shards
     }
 
-    /// Per-shard document views (arrival order, duplicates interned),
-    /// for sharded DTD derivation.
-    pub fn docs_by_shard(&self) -> Vec<Vec<&DocPaths>> {
-        self.shards.iter().map(|s| s.docs().collect()).collect()
+    /// The accreted documents in shard order, then arrival order within
+    /// a shard (duplicates interned) — the order DTD group-pattern
+    /// detection reads them in.
+    pub fn docs(&self) -> impl Iterator<Item = &DocPaths> + '_ {
+        self.shards.iter().flat_map(CorpusIndex::docs)
     }
 
     /// Total documents across shards.
@@ -218,10 +304,14 @@ impl ShardedCorpus {
         self.shards.iter().map(CorpusIndex::version).sum()
     }
 
-    /// The merged [`PathTable`] over all shards.
+    /// The merged [`PathTable`] over all shards, built from the shards'
+    /// per-path aggregates in O(distinct paths · shards).
     pub fn table(&self) -> PathTable {
-        let tables: Vec<PathTable> = self.shards.iter().map(CorpusIndex::table).collect();
-        PathTable::merged(&tables)
+        let mut table = PathTable::new();
+        for shard in &self.shards {
+            shard.merge_into(&mut table);
+        }
+        table
     }
 }
 
@@ -252,6 +342,16 @@ impl CorpusView for ShardedCorpus {
         let mut votes: Vec<(String, usize)> = tally.into_iter().collect();
         votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         votes
+    }
+}
+
+impl DtdView for ShardedCorpus {
+    fn path_stats(&self, path: &[String]) -> PathStats {
+        let mut total = PathStats::default();
+        for stats in self.shards.iter().filter_map(|shard| shard.stats_of(path)) {
+            total.merge_from(stats);
+        }
+        total
     }
 }
 

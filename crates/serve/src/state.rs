@@ -10,9 +10,11 @@
 //! writes costs one recompute, not N. This write-invalidate /
 //! read-recompute batching is what keeps accretion fast under load.
 //!
-//! Sharding: each document routes to `hash % shards`; mining runs over
-//! the union view and DTD derivation over the per-shard document slices.
-//! Both are held equal to single-index batch processing by the
+//! Sharding: each document routes to `hash % shards`; mining and DTD
+//! derivation both run over the union view, which sums the shards'
+//! per-path aggregates — a recompute costs O(schema paths × shards) and
+//! never walks the documents (only the opt-in group-pattern extension
+//! does). Both are held equal to single-index batch processing by the
 //! `shard-merge-vs-batch` differential oracle in `webre-check`.
 //!
 //! Durability: with a [`CorpusStore`] attached, every accretion appends
@@ -37,7 +39,7 @@ use std::sync::{Arc, RwLock};
 use webre_convert::ConvertStats;
 use webre_obs::{scoped, Ctx};
 use webre_schema::{
-    derive_dtd_sharded, doc_to_record, extract_paths, DocPaths, MajoritySchema, PathTable,
+    derive_dtd_from, doc_to_record, extract_paths, DocPaths, MajoritySchema, PathTable,
     ShardedCorpus,
 };
 use webre_substrate::wal::checksum;
@@ -167,9 +169,11 @@ impl LiveCorpus {
         let (schema_text, dtd_text, mapping) = match engine.miner.mine_view(&inner.corpus) {
             None => (None, None, None),
             Some(outcome) => {
-                let dtd = derive_dtd_sharded(
+                let corpus = &inner.corpus;
+                let dtd = derive_dtd_from(
                     &outcome.schema,
-                    &inner.corpus.docs_by_shard(),
+                    corpus,
+                    || corpus.docs(),
                     &engine.dtd_config,
                 );
                 (
@@ -198,7 +202,8 @@ impl LiveCorpus {
     }
 
     /// The merged frequent-path table with the version and doc count it
-    /// was taken at — the `GET /corpus/table` payload.
+    /// was taken at — the `GET /corpus/table` payload. Built from the
+    /// shards' per-path aggregates, O(distinct paths).
     pub fn table(&self) -> (PathTable, u64, usize) {
         let inner = self.read();
         (

@@ -5,6 +5,7 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use webre_schema::{derive_dtd, extract_paths, DocPaths};
 use webre_serve::server::{ServeConfig, Server};
 use webre_serve::Engine;
 use webre_substrate::http::{request, ParsedResponse};
@@ -84,6 +85,61 @@ fn schema_and_dtd_are_byte_identical_across_a_restart() {
         response.header("x-corpus-version"),
         Some((PAGES.len() as u64 + 1).to_string().as_str())
     );
+    server.request_drain();
+    server.join();
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Batch DTD over `docs`: mine the slice, derive from the slice.
+fn batch_dtd(engine: &Engine, docs: &[DocPaths]) -> String {
+    let outcome = engine
+        .miner
+        .mine(docs)
+        .expect("batch mining finds a schema");
+    derive_dtd(&outcome.schema, docs, &engine.dtd_config).to_dtd_string()
+}
+
+#[test]
+fn live_dtd_equals_batch_after_every_burst_and_a_restart() {
+    // The served DTD is derived from per-path aggregates kept at push
+    // time (and rebuilt by WAL replay); batch derivation aggregates the
+    // document slice afresh. Both must agree after every burst.
+    let dir = std::env::temp_dir().join(format!("webre-live-dtd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = Engine::resume_domain();
+    let bursts: [&[&str]; 4] = [
+        &PAGES[..1],
+        &[
+            PAGES[2],
+            "<h2>Education</h2><ul><li>MIT, Ph.D., 2001</li><li>MIT, M.S., 1997</li>\
+             <li>MIT, B.S., 1994</li></ul><h2>Skills</h2><p>Lisp</p>",
+        ],
+        &PAGES[1..],
+        &[PAGES[4], PAGES[0], PAGES[2], PAGES[2]],
+    ];
+
+    let server = Server::start(durable_config(&dir), Engine::resume_domain()).expect("bind");
+    let addr = server.local_addr();
+    let mut accreted: Vec<DocPaths> = Vec::new();
+    for (round, burst) in bursts.iter().enumerate() {
+        for page in *burst {
+            let (doc, _, xml) = engine.convert_to_xml(page);
+            let response = roundtrip(addr, "POST", "/corpus/xml", xml.as_bytes());
+            assert_eq!(response.status, 202, "{}", response.text());
+            accreted.push(extract_paths(&doc));
+        }
+        let dtd = roundtrip(addr, "GET", "/schema/dtd", b"");
+        assert_eq!(dtd.status, 200, "{}", dtd.text());
+        assert_eq!(dtd.text(), batch_dtd(&engine, &accreted), "burst {round}");
+    }
+    server.request_drain();
+    server.join();
+
+    let server = Server::start(durable_config(&dir), Engine::resume_domain()).expect("rebind");
+    let dtd = roundtrip(server.local_addr(), "GET", "/schema/dtd", b"");
+    assert_eq!(dtd.status, 200, "{}", dtd.text());
+    assert_eq!(dtd.text(), batch_dtd(&engine, &accreted), "after restart");
     server.request_drain();
     server.join();
 
