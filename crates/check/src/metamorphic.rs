@@ -51,7 +51,7 @@ pub fn remove_document(rng: &mut StdRng) -> Result<(), String> {
         .collect();
     // Every path known to the full corpus.
     let mut universe: Vec<&Vec<String>> =
-        corpus.iter().flat_map(|d| d.paths.iter()).collect();
+        corpus.iter().flat_map(DocPaths::paths).collect();
     universe.sort();
     universe.dedup();
     for path in universe {

@@ -4,13 +4,15 @@
 //! These are deliberately written with *different algorithms* than the
 //! production crates — a position-set regex matcher instead of Brzozowski
 //! derivatives, a flat enumerate-and-filter miner instead of the
-//! recursive candidate-extension miner, and a per-document scan of the
-//! DTD rules instead of per-path aggregates — so that a shared bug cannot
-//! hide by construction.
+//! recursive candidate-extension miner, a per-document scan of the DTD
+//! rules instead of per-path aggregates, and a per-node rescan of sibling
+//! lists with a `Json`-tree record encoder instead of one linear walk and
+//! a direct writer — so that a shared bug cannot hide by construction.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use webre_schema::{doc_frequency, DocPaths, DtdConfig, LabelPath, MajoritySchema};
-use webre_xml::{ContentExpr, Dtd};
+use webre_substrate::json::Json;
+use webre_xml::{ContentExpr, Dtd, XmlDocument, XmlNode};
 
 // ---------------------------------------------------------------------------
 // Reference content-model matcher
@@ -195,7 +197,7 @@ pub fn ref_mine(
 
     // Every path present in any document, shortest first so parents are
     // decided before their extensions.
-    let mut universe: Vec<&LabelPath> = corpus.iter().flat_map(|d| d.paths.iter()).collect();
+    let mut universe: Vec<&LabelPath> = corpus.iter().flat_map(DocPaths::paths).collect();
     universe.sort();
     universe.dedup();
     universe.sort_by_key(|p| p.len());
@@ -295,9 +297,9 @@ pub fn ref_derive_dtd(schema: &MajoritySchema, corpus: &[DocPaths], config: &Dtd
                 }
                 let entry = agg.entry(child_label).or_default();
                 for doc in corpus {
-                    if let Some((s, c)) = doc.positions.get(&path) {
-                        entry.pos_sum += s;
-                        entry.pos_count += c;
+                    if let Some(e) = doc.entry(&path) {
+                        entry.pos_sum += e.pos_sum;
+                        entry.pos_count += e.pos_count;
                     }
                 }
                 let rep_docs = corpus
@@ -352,6 +354,154 @@ pub fn ref_derive_dtd(schema: &MajoritySchema, corpus: &[DocPaths], config: &Dtd
         dtd.declare(label, content);
     }
     dtd
+}
+
+// ---------------------------------------------------------------------------
+// Reference path extraction and WAL record encoder
+// ---------------------------------------------------------------------------
+
+/// The path-level view of a document as four maps, one per kind of
+/// bookkeeping, each keyed by its own copy of the path: the layout
+/// [`DocPaths`] had before it became one sorted table.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RefDocPaths {
+    pub root_label: String,
+    pub paths: HashSet<LabelPath>,
+    pub multiplicity: HashMap<LabelPath, u32>,
+    pub positions: HashMap<LabelPath, (f64, u64)>,
+    /// Only non-leaf paths have an entry.
+    pub child_sequences: HashMap<LabelPath, Vec<Vec<String>>>,
+    pub node_count: usize,
+}
+
+impl RefDocPaths {
+    /// The four-map view of a production table, keeping what the
+    /// reference walk records: a multiplicity or position total only
+    /// when non-zero, child sequences only when there are some.
+    pub fn of(doc: &DocPaths) -> Self {
+        let mut out = RefDocPaths {
+            root_label: doc.root_label.clone(),
+            node_count: doc.node_count,
+            ..RefDocPaths::default()
+        };
+        for entry in doc.entries() {
+            let path = &entry.path;
+            out.paths.insert(path.clone());
+            if entry.multiplicity > 0 {
+                out.multiplicity.insert(path.clone(), entry.multiplicity);
+            }
+            if entry.pos_count > 0 {
+                out.positions
+                    .insert(path.clone(), (entry.pos_sum, entry.pos_count));
+            }
+            if !entry.child_sequences.is_empty() {
+                out.child_sequences
+                    .insert(path.clone(), doc.label_sequences(entry).collect());
+            }
+        }
+        out
+    }
+}
+
+/// Path extraction by a recursive walk that finds each node's sibling
+/// position and same-label multiplicity by rescanning its parent's
+/// children (quadratic in the sibling count) and clones the running path
+/// into every map.
+pub fn ref_extract_paths(doc: &XmlDocument) -> RefDocPaths {
+    fn walk(
+        doc: &XmlDocument,
+        id: webre_tree::NodeId,
+        path: &mut LabelPath,
+        out: &mut RefDocPaths,
+    ) {
+        let XmlNode::Element { name, .. } = doc.tree.value(id) else {
+            return;
+        };
+        out.node_count += 1;
+        path.push(name.clone());
+        out.paths.insert(path.clone());
+        let position = doc.tree.parent(id).map_or(0, |p| {
+            doc.tree
+                .children(p)
+                .filter(|c| matches!(doc.tree.value(*c), XmlNode::Element { .. }))
+                .take_while(|c| *c != id)
+                .count()
+        });
+        let entry = out.positions.entry(path.clone()).or_insert((0.0, 0));
+        entry.0 += position as f64;
+        entry.1 += 1;
+        let count = doc.tree.parent(id).map_or(1, |p| {
+            doc.tree
+                .children(p)
+                .filter(|c| doc.label(*c) == name.as_str())
+                .count() as u32
+        });
+        let slot = out.multiplicity.entry(path.clone()).or_insert(0);
+        *slot = (*slot).max(count);
+        let sequence: Vec<String> = doc
+            .tree
+            .children(id)
+            .filter_map(|c| match doc.tree.value(c) {
+                XmlNode::Element { name, .. } => Some(name.clone()),
+                XmlNode::Text(_) => None,
+            })
+            .collect();
+        if !sequence.is_empty() {
+            out.child_sequences
+                .entry(path.clone())
+                .or_default()
+                .push(sequence);
+        }
+        for child in doc.tree.children(id) {
+            walk(doc, child, path, out);
+        }
+        path.pop();
+    }
+    let mut out = RefDocPaths {
+        root_label: doc.root_name().to_owned(),
+        ..RefDocPaths::default()
+    };
+    walk(doc, doc.root(), &mut Vec::new(), &mut out);
+    out
+}
+
+/// The canonical WAL record of a document, built as a `Json` tree (paths
+/// sorted, one object per path) and printed.
+pub fn ref_doc_to_record(doc: &RefDocPaths) -> Vec<u8> {
+    fn labels(path: &[String]) -> Json {
+        Json::Arr(path.iter().map(|l| Json::Str(l.clone())).collect())
+    }
+    let mut paths: Vec<&LabelPath> = doc.paths.iter().collect();
+    paths.sort();
+    let entries: Vec<Json> = paths
+        .into_iter()
+        .map(|path| {
+            let (pos_sum, pos_count) = doc.positions.get(path).copied().unwrap_or((0.0, 0));
+            let mut fields = vec![
+                ("p".to_owned(), labels(path)),
+                (
+                    "m".to_owned(),
+                    Json::Num(f64::from(doc.multiplicity.get(path).copied().unwrap_or(0))),
+                ),
+                ("s".to_owned(), Json::Num(pos_sum)),
+                ("n".to_owned(), Json::Num(pos_count as f64)),
+            ];
+            if let Some(seqs) = doc.child_sequences.get(path) {
+                fields.push((
+                    "q".to_owned(),
+                    Json::Arr(seqs.iter().map(|seq| labels(seq)).collect()),
+                ));
+            }
+            Json::Obj(fields)
+        })
+        .collect();
+    Json::Obj(vec![
+        ("root".to_owned(), Json::Str(doc.root_label.clone())),
+        ("nodes".to_owned(), Json::Num(doc.node_count as f64)),
+        ("paths".to_owned(), Json::Arr(entries)),
+    ])
+    .to_string()
+    .into_bytes()
 }
 
 #[cfg(test)]

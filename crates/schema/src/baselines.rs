@@ -46,11 +46,7 @@ pub fn path_conformance(schema: &MajoritySchema, corpus: &[DocPaths]) -> f64 {
     }
     let conforming = corpus
         .iter()
-        .filter(|d| {
-            d.paths
-                .iter()
-                .all(|p| schema.contains(p))
-        })
+        .filter(|d| d.paths().all(|p| schema.contains(p)))
         .count();
     conforming as f64 / corpus.len() as f64
 }

@@ -2,25 +2,32 @@
 //! payload and the `/corpus/table` wire format.
 //!
 //! Both codecs are **canonical**: entries are emitted in sorted path
-//! order regardless of hash-map iteration order, so serializing the same
-//! value always yields the same bytes (WAL replay and cross-process
-//! table exchange both compare outputs byte-for-byte downstream).
-//! Numbers survive exactly — position sums are integral `f64`s within
-//! the safe range, and the substrate serializer prints shortest
-//! round-trip forms.
+//! order, so serializing the same value always yields the same bytes
+//! (WAL replay and cross-process table exchange both compare outputs
+//! byte-for-byte downstream). Numbers survive exactly — position sums
+//! are integral `f64`s within the safe range, and the substrate
+//! serializer prints shortest round-trip forms.
+//!
+//! A [`DocPaths`] record is `{"root": label, "nodes": elements, "paths":
+//! [entry, ...]}` with one entry per [`crate::PathEntry`], in the
+//! document's path order: `{"p": path, "m": multiplicity, "s": position
+//! sum, "n": position count, "q": [child sequence, ...]}`, `"q"` present
+//! only for a path with child sequences, each child named by its label.
+//! [`doc_to_record`] writes these bytes straight from the entries through
+//! the substrate string and number writers, without building a `Json`
+//! tree; `webre-check` keeps the tree-building encoder as its reference,
+//! and the two agree byte for byte. The decoder rebuilds the entries and
+//! accepts them in any order, refusing a path listed twice or a child
+//! label with no path entry.
 //!
 //! A [`PathTable`] entry is `{"p": path, "f": documents, "s": position
 //! sum, "n": position count, "m": [[num, documents], ...]}`, the last
 //! listing the documents per recorded multiplicity in ascending `num`.
-//!
-//! The [`DocPaths`] codec is lossless for any value produced by
-//! [`crate::extract_paths`], where the multiplicity and position maps
-//! are keyed exactly by the recorded path set and child sequences only
-//! exist for non-leaf paths — the invariant the decoder rebuilds from.
 
-use crate::paths::DocPaths;
+use crate::paths::{DocPaths, PathEntry};
 use crate::sharded::{PathStats, PathTable};
-use webre_substrate::json::{FromJson, Json, JsonError, ToJson};
+use std::fmt;
+use webre_substrate::json::{write_number, write_string, FromJson, Json, JsonError, ToJson};
 
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(message.into()))
@@ -53,39 +60,51 @@ fn get_num(obj: &Json, key: &str) -> Result<f64, JsonError> {
         .ok_or_else(|| JsonError(format!("missing numeric field {key:?} in {obj}")))
 }
 
-impl ToJson for DocPaths {
-    fn to_json(&self) -> Json {
-        let mut paths: Vec<&Vec<String>> = self.paths.iter().collect();
-        paths.sort();
-        let entries: Vec<Json> = paths
-            .into_iter()
-            .map(|path| {
-                let (pos_sum, pos_count) =
-                    self.positions.get(path).copied().unwrap_or((0.0, 0));
-                let mut fields = vec![
-                    ("p".to_owned(), path_json(path)),
-                    (
-                        "m".to_owned(),
-                        Json::Num(f64::from(self.multiplicity.get(path).copied().unwrap_or(0))),
-                    ),
-                    ("s".to_owned(), Json::Num(pos_sum)),
-                    ("n".to_owned(), Json::Num(pos_count as f64)),
-                ];
-                if let Some(seqs) = self.child_sequences.get(path) {
-                    fields.push((
-                        "q".to_owned(),
-                        Json::Arr(seqs.iter().map(|seq| path_json(seq)).collect()),
-                    ));
-                }
-                Json::Obj(fields)
-            })
-            .collect();
-        Json::Obj(vec![
-            ("root".to_owned(), Json::Str(self.root_label.clone())),
-            ("nodes".to_owned(), Json::Num(self.node_count as f64)),
-            ("paths".to_owned(), Json::Arr(entries)),
-        ])
+/// Writes labels as a JSON array of strings.
+fn write_labels<'a>(out: &mut String, labels: impl IntoIterator<Item = &'a str>) -> fmt::Result {
+    out.push('[');
+    for (i, label) in labels.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(out, label)?;
     }
+    out.push(']');
+    Ok(())
+}
+
+fn write_record(out: &mut String, doc: &DocPaths) -> fmt::Result {
+    out.push_str("{\"root\":");
+    write_string(out, &doc.root_label)?;
+    out.push_str(",\"nodes\":");
+    write_number(out, doc.node_count as f64)?;
+    out.push_str(",\"paths\":[");
+    for (i, entry) in doc.entries().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"p\":");
+        write_labels(out, entry.path.iter().map(String::as_str))?;
+        out.push_str(",\"m\":");
+        write_number(out, f64::from(entry.multiplicity))?;
+        out.push_str(",\"s\":");
+        write_number(out, entry.pos_sum)?;
+        out.push_str(",\"n\":");
+        write_number(out, entry.pos_count as f64)?;
+        if !entry.child_sequences.is_empty() {
+            out.push_str(",\"q\":[");
+            for (j, sequence) in entry.child_sequences.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                write_labels(out, sequence.iter().map(|&child| doc.label_at(child)))?;
+            }
+            out.push(']');
+        }
+        out.push('}');
+    }
+    out.push_str("]}");
+    Ok(())
 }
 
 impl FromJson for DocPaths {
@@ -93,38 +112,30 @@ impl FromJson for DocPaths {
         let Some(root) = value.get("root").and_then(Json::as_str) else {
             return err(format!("document record needs a \"root\" string: {value}"));
         };
-        let mut doc = DocPaths {
-            root_label: root.to_owned(),
-            node_count: get_num(value, "nodes")? as usize,
-            ..DocPaths::default()
-        };
-        let Some(entries) = value.get("paths").and_then(Json::as_arr) else {
+        let node_count = get_num(value, "nodes")? as usize;
+        let Some(items) = value.get("paths").and_then(Json::as_arr) else {
             return err(format!("document record needs a \"paths\" array: {value}"));
         };
-        for entry in entries {
-            let Some(path_value) = entry.get("p") else {
-                return err(format!("path entry needs a \"p\" field: {entry}"));
+        let mut entries = Vec::with_capacity(items.len());
+        for item in items {
+            let Some(path_value) = item.get("p") else {
+                return err(format!("path entry needs a \"p\" field: {item}"));
             };
-            let path = path_from(path_value)?;
-            let mult = get_num(entry, "m")? as u32;
-            let pos_sum = get_num(entry, "s")?;
-            let pos_count = get_num(entry, "n")? as u64;
-            if mult > 0 {
-                doc.multiplicity.insert(path.clone(), mult);
-            }
-            if pos_count > 0 {
-                doc.positions.insert(path.clone(), (pos_sum, pos_count));
-            }
-            if let Some(seqs) = entry.get("q").and_then(Json::as_arr) {
-                let mut sequences = Vec::with_capacity(seqs.len());
-                for seq in seqs {
-                    sequences.push(path_from(seq)?);
-                }
-                doc.child_sequences.insert(path.clone(), sequences);
-            }
-            doc.paths.insert(path);
+            let entry = PathEntry {
+                path: path_from(path_value)?,
+                multiplicity: get_num(item, "m")? as u32,
+                pos_sum: get_num(item, "s")?,
+                pos_count: get_num(item, "n")? as u64,
+                child_sequences: Vec::new(),
+            };
+            let sequences = match item.get("q").and_then(Json::as_arr) {
+                Some(sequences) => sequences.iter().map(path_from).collect::<Result<_, _>>()?,
+                None => Vec::new(),
+            };
+            entries.push((entry, sequences));
         }
-        Ok(doc)
+        DocPaths::from_labelled(root.to_owned(), node_count, entries)
+            .map_err(|e| JsonError(format!("bad document record: {e}")))
     }
 }
 
@@ -200,7 +211,9 @@ impl FromJson for PathTable {
 
 /// Serializes a document to its canonical WAL payload bytes.
 pub fn doc_to_record(doc: &DocPaths) -> Vec<u8> {
-    doc.to_json().to_string().into_bytes()
+    let mut out = String::with_capacity(64 + 96 * doc.entries().len());
+    write_record(&mut out, doc).expect("writing to a String cannot fail");
+    out.into_bytes()
 }
 
 /// Parses a WAL payload back into a document.
@@ -235,9 +248,28 @@ mod tests {
     }
 
     #[test]
+    fn record_bytes_are_pinned() {
+        let record = doc_to_record(&doc("<r><a><x/></a>text<a/><b/></r>"));
+        assert_eq!(
+            String::from_utf8(record).unwrap(),
+            r#"{"root":"r","nodes":5,"paths":[{"p":["r"],"m":1,"s":0,"n":1,"q":[["a","a","b"]]},"#
+                .to_owned()
+                + r#"{"p":["r","a"],"m":2,"s":1,"n":2,"q":[["x"]]},"#
+                + r#"{"p":["r","a","x"],"m":1,"s":0,"n":1},{"p":["r","b"],"m":1,"s":2,"n":1}]}"#
+        );
+    }
+
+    #[test]
+    fn entries_decode_in_any_order() {
+        let record = br#"{"root":"r","nodes":2,"paths":[{"p":["r","a"],"m":1,"s":0,"n":1},{"p":["r"],"m":1,"s":0,"n":1,"q":[["a"]]}]}"#;
+        let decoded = doc_from_record(record).unwrap();
+        assert_eq!(decoded, doc("<r><a/></r>"));
+    }
+
+    #[test]
     fn doc_serialization_is_canonical() {
         // Two extractions of the same document serialize identically even
-        // though HashSet/HashMap iteration order may differ between them.
+        // though the walk's per-document hash map is seeded differently.
         let xml = "<r><a><x/><y/></a><b/><a><x/></a></r>";
         let a = doc_to_record(&doc(xml));
         let b = doc_to_record(&doc(xml));
@@ -300,6 +332,9 @@ mod tests {
             b"{\"root\":\"r\",\"nodes\":1,\"paths\":[{\"m\":1}]}",
             b"{\"root\":\"r\",\"nodes\":1,\"paths\":[{\"p\":[],\"m\":1,\"s\":0,\"n\":1}]}",
             b"{\"root\":\"r\",\"nodes\":1,\"paths\":[{\"p\":[3],\"m\":1,\"s\":0,\"n\":1}]}",
+            b"{\"root\":\"r\",\"nodes\":1,\"paths\":[{\"p\":[\"r\"],\"m\":1,\"s\":0,\"n\":1},\
+              {\"p\":[\"r\"],\"m\":1,\"s\":0,\"n\":1}]}",
+            b"{\"root\":\"r\",\"nodes\":1,\"paths\":[{\"p\":[\"r\"],\"m\":1,\"s\":0,\"n\":1,\"q\":[[\"a\"]]}]}",
         ] {
             assert!(doc_from_record(bad).is_err(), "{:?}", String::from_utf8_lossy(bad));
         }

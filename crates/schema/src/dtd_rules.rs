@@ -321,8 +321,8 @@ fn group_pattern_content(
         }
         let prefix = schema.path_of(id);
         for doc in docs {
-            if let Some(seqs) = doc.child_sequences.get(&prefix) {
-                sequences.extend(seqs.iter().cloned());
+            if let Some(entry) = doc.entry(&prefix) {
+                sequences.extend(doc.label_sequences(entry));
             }
         }
     }

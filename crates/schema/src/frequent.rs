@@ -52,7 +52,7 @@ impl CorpusView for [DocPaths] {
     fn child_labels(&self, prefix: &[String]) -> Vec<String> {
         let mut candidates: BTreeSet<&str> = BTreeSet::new();
         for doc in self {
-            for path in &doc.paths {
+            for path in doc.paths() {
                 if path.len() == prefix.len() + 1 && path.starts_with(prefix) {
                     candidates.insert(path.last().expect("non-empty"));
                 }

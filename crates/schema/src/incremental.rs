@@ -29,15 +29,19 @@
 //!
 //! Real corpora — and the synthetic streams the scale harness pushes —
 //! repeat a modest set of structural *shapes* across millions of
-//! documents. Storing a full `DocPaths` per document costs several KiB
-//! each (dozens of small heap allocations), which at 10⁶ documents is
-//! gigabytes of resident memory for what is mostly duplication. The
-//! index therefore interns documents: distinct shapes live once in a
-//! shape table and each accreted document is a 4-byte id in arrival
-//! order. Equality is exact (hash buckets are confirmed with a full
-//! `DocPaths` comparison), so [`CorpusIndex::docs`] yields precisely
-//! the accreted multiset in arrival order, at ~4 bytes per duplicate
-//! document.
+//! documents. A `DocPaths` is one sorted entry per distinct path; one
+//! converted resume keeps ~4.5 KB of heap and a ~25 KiB multi-resume
+//! page ~21 KB (`tests/ingest_alloc_counts.rs` pins both), which at 10⁶
+//! documents would be gigabytes of resident memory for what is mostly
+//! duplication. The index therefore interns documents: distinct shapes
+//! live once in a shape table and each accreted document is a 4-byte id
+//! in arrival order. Equality is exact (hash buckets, keyed by a hash of
+//! the sorted entries, are confirmed with a full `DocPaths` comparison),
+//! so [`CorpusIndex::docs`] yields precisely the accreted multiset in
+//! arrival order, at ~4 bytes per duplicate document.
+//!
+//! A push reads each of the document's entries once: one lookup in the
+//! per-path aggregates, one in the children index.
 //!
 //! The index is append-only by design: document *removal* would require
 //! decrementing every table, and no current workload retires documents
@@ -62,49 +66,30 @@ fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV over a label path with segment separators (so `["ab","c"]` and
-/// `["a","bc"]` hash apart).
-fn fnv_path(path: &[String]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for segment in path {
-        h = fnv_bytes(h, segment.as_bytes());
-        h ^= 0xff;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// A content hash of a document shape. Map iteration order is
-/// unspecified, so per-entry hashes are combined with XOR (commutative)
-/// — the result is deterministic for equal shapes. Collisions are
-/// harmless: interning confirms every bucket hit with full equality.
+/// A content hash of a document shape, over its entries in path order.
+/// Each path is hashed by its length and last label only: entries come
+/// sorted, and a sorted prefix-closed path set is its trie's pre-order,
+/// which those two determine. Collisions are harmless anyway: interning
+/// confirms every bucket hit with full equality.
 fn shape_hash(doc: &DocPaths) -> u64 {
     let mut h = fnv_bytes(FNV_OFFSET, doc.root_label.as_bytes());
     h = h.wrapping_mul(FNV_PRIME) ^ doc.node_count as u64;
-    let mut acc = 0u64;
-    for path in &doc.paths {
-        acc ^= fnv_path(path);
-    }
-    for (path, num) in &doc.multiplicity {
-        acc ^= fnv_path(path).wrapping_add(u64::from(*num));
-    }
-    for (path, (sum, count)) in &doc.positions {
-        acc ^= fnv_path(path) ^ sum.to_bits().wrapping_add(*count);
-    }
-    for (path, seqs) in &doc.child_sequences {
-        let mut sh = fnv_path(path);
-        for seq in seqs {
-            for label in seq {
-                sh = fnv_bytes(sh, label.as_bytes());
-                sh ^= 0xfe;
-                sh = sh.wrapping_mul(FNV_PRIME);
+    for entry in doc.entries() {
+        let label = entry.path.last().map_or("", String::as_str);
+        h = fnv_bytes(
+            h.wrapping_mul(FNV_PRIME) ^ entry.path.len() as u64,
+            label.as_bytes(),
+        );
+        h = h.wrapping_mul(FNV_PRIME) ^ u64::from(entry.multiplicity);
+        h = h.wrapping_mul(FNV_PRIME) ^ entry.pos_sum.to_bits().wrapping_add(entry.pos_count);
+        for seq in &entry.child_sequences {
+            for &child in seq {
+                h = (h ^ u64::from(child)).wrapping_mul(FNV_PRIME);
             }
-            sh ^= 0xfd;
-            sh = sh.wrapping_mul(FNV_PRIME);
+            h = (h ^ 0xfd).wrapping_mul(FNV_PRIME);
         }
-        acc ^= sh;
     }
-    h ^ acc
+    h
 }
 
 /// An append-only corpus with the miner's query tables kept incrementally.
@@ -141,11 +126,12 @@ impl CorpusIndex {
     /// Accretes one document, updating every table. O(paths in `doc`);
     /// keys and labels are cloned only when they are new to a table.
     pub fn push(&mut self, doc: DocPaths) {
-        for path in &doc.paths {
+        for entry in doc.entries() {
+            let path = &entry.path;
             match self.stats.get_mut(path.as_slice()) {
-                Some(stats) => stats.add_doc(&doc, path),
+                Some(stats) => stats.add_doc(entry),
                 None => {
-                    self.stats.insert(path.clone(), PathStats::of(&doc, path));
+                    self.stats.insert(path.clone(), PathStats::of(entry));
                 }
             }
             if let Some((label, prefix)) = path.split_last().filter(|(_, p)| !p.is_empty()) {
@@ -328,7 +314,7 @@ mod tests {
         // Every path known to any document agrees on frequency; children
         // and root votes agree wholesale.
         let mut universe: Vec<&LabelPath> =
-            docs.iter().flat_map(|d| d.paths.iter()).collect();
+            docs.iter().flat_map(DocPaths::paths).collect();
         universe.sort();
         universe.dedup();
         for path in universe {
@@ -527,7 +513,7 @@ mod tests {
             // Table-level equality, not just equal mining output: every
             // path in the universe answers identically.
             let mut universe: Vec<&LabelPath> =
-                docs.iter().flat_map(|d| d.paths.iter()).collect();
+                docs.iter().flat_map(DocPaths::paths).collect();
             universe.sort();
             universe.dedup();
             for path in universe {

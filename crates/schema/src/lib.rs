@@ -27,5 +27,5 @@ pub use dtd_rules::{derive_dtd, derive_dtd_from, DtdConfig, DtdView};
 pub use frequent::{CorpusView, FrequentPathMiner, MiningOutcome};
 pub use incremental::CorpusIndex;
 pub use majority::{MajoritySchema, SchemaNode};
-pub use paths::{average_position, doc_frequency, extract_paths, DocPaths, LabelPath};
+pub use paths::{average_position, doc_frequency, extract_paths, DocPaths, LabelPath, PathEntry};
 pub use sharded::{PathStats, PathTable, ShardedCorpus};

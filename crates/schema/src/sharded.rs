@@ -22,7 +22,7 @@
 use crate::dtd_rules::DtdView;
 use crate::frequent::CorpusView;
 use crate::incremental::CorpusIndex;
-use crate::paths::{DocPaths, LabelPath};
+use crate::paths::{DocPaths, LabelPath, PathEntry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
@@ -46,25 +46,20 @@ pub struct PathStats {
 }
 
 impl PathStats {
-    /// The aggregate of one document's `path`, a member of `doc.paths`.
-    pub(crate) fn of(doc: &DocPaths, path: &[String]) -> Self {
+    /// The aggregate of one document's entry for the path.
+    pub(crate) fn of(entry: &PathEntry) -> Self {
         let mut stats = PathStats::default();
-        stats.add_doc(doc, path);
+        stats.add_doc(entry);
         stats
     }
 
-    /// Adds one document's contribution for `path`, a member of
-    /// `doc.paths`. Extraction keys the position and multiplicity maps by
-    /// exactly the path set, so visiting the path set sees every entry.
-    pub(crate) fn add_doc(&mut self, doc: &DocPaths, path: &[String]) {
+    /// Adds one document's contribution: its entry for the path.
+    pub(crate) fn add_doc(&mut self, entry: &PathEntry) {
         self.frequency += 1;
-        if let Some((sum, count)) = doc.positions.get(path) {
-            self.pos_sum += sum;
-            self.pos_count += count;
-        }
-        let num = doc.multiplicity_of(path);
-        if num > 0 {
-            self.add_multiplicity(num, 1);
+        self.pos_sum += entry.pos_sum;
+        self.pos_count += entry.pos_count;
+        if entry.multiplicity > 0 {
+            self.add_multiplicity(entry.multiplicity, 1);
         }
     }
 
@@ -132,11 +127,11 @@ impl PathTable {
     /// Aggregates one document. O(paths in `doc` · log table); a key is
     /// cloned only the first time its path is seen.
     pub fn add_doc(&mut self, doc: &DocPaths) {
-        for path in &doc.paths {
-            match self.paths.get_mut(path.as_slice()) {
-                Some(stats) => stats.add_doc(doc, path),
+        for entry in doc.entries() {
+            match self.paths.get_mut(entry.path.as_slice()) {
+                Some(stats) => stats.add_doc(entry),
                 None => {
-                    self.paths.insert(path.clone(), PathStats::of(doc, path));
+                    self.paths.insert(entry.path.clone(), PathStats::of(entry));
                 }
             }
         }
@@ -405,7 +400,7 @@ mod tests {
         ]);
         let table = PathTable::from_docs(&docs);
         assert_eq!(table.doc_count(), 3);
-        let mut universe: Vec<&LabelPath> = docs.iter().flat_map(|d| d.paths.iter()).collect();
+        let mut universe: Vec<&LabelPath> = docs.iter().flat_map(DocPaths::paths).collect();
         universe.sort();
         universe.dedup();
         for path in universe {
@@ -471,7 +466,7 @@ mod tests {
             }
             assert_eq!(sharded.len(), docs.len());
             let mut universe: Vec<&LabelPath> =
-                docs.iter().flat_map(|d| d.paths.iter()).collect();
+                docs.iter().flat_map(DocPaths::paths).collect();
             universe.sort();
             universe.dedup();
             for path in universe {

@@ -383,6 +383,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The compaction property a snapshot built by concatenating log
+    /// bytes relies on: re-encoding the shard writes exactly the frames
+    /// it was logged, in log order.
+    #[test]
+    fn compacted_snapshot_is_every_logged_frame_in_order() {
+        let dir = temp_dir("frames");
+        let shards = 3;
+        let cfg = config(&dir, shards, 4);
+        let (mut store, mut corpus, _) = CorpusStore::open(&cfg).unwrap();
+        let mut logged: Vec<Vec<Vec<u8>>> = vec![Vec::new(); shards];
+        for i in 0..90u64 {
+            // Distinct shapes, with some repeats so interning is exercised.
+            let xml = format!(
+                "<r>{}<b><c/>{}</b></r>",
+                "<a/>".repeat((i % 7) as usize + 1),
+                "<d/>".repeat((i % 5) as usize)
+            );
+            let doc = extract_paths(&parse_xml(&xml).unwrap());
+            let record = doc_to_record(&doc);
+            let shard = corpus.shard_of(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            corpus.push_to(shard, doc);
+            store
+                .log_doc(shard, &record, &corpus.shards()[shard])
+                .unwrap();
+            logged[shard].push(record);
+        }
+        store.sync_to_disk().unwrap();
+        for (shard, records) in logged.iter().enumerate() {
+            let snapshot_docs = store.shards[shard].snapshot_docs;
+            // compact_min 4 with a geometric policy: 4, then 8, then 16 …
+            assert!(
+                snapshot_docs >= 8,
+                "shard {shard} compacted fewer than twice"
+            );
+            let frames = |records: &[Vec<u8>]| {
+                let mut buf = Vec::new();
+                for record in records {
+                    append_record(&mut buf, record);
+                }
+                buf
+            };
+            let snapshot = std::fs::read(snapshot_path(&dir, shard)).unwrap();
+            assert!(
+                snapshot == frames(&records[..snapshot_docs]),
+                "shard {shard}: snapshot differs from its logged frames"
+            );
+            let tail = std::fs::read(wal_path(&dir, shard)).unwrap();
+            assert!(
+                tail == frames(&records[snapshot_docs..]),
+                "shard {shard}: tail differs from the frames logged since"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn corrupt_tail_is_skipped_with_a_warning_and_truncated() {
         let dir = temp_dir("corrupt");

@@ -75,6 +75,9 @@ struct Inner {
 /// Shared, thread-safe live corpus.
 pub struct LiveCorpus {
     inner: RwLock<Inner>,
+    /// Whether a store is attached. It is fixed at construction, so
+    /// writers read it without taking the lock.
+    has_store: bool,
 }
 
 impl Default for LiveCorpus {
@@ -101,6 +104,7 @@ impl LiveCorpus {
 
     fn build(corpus: ShardedCorpus, store: Option<CorpusStore>) -> Self {
         LiveCorpus {
+            has_store: store.is_some(),
             inner: RwLock::new(Inner {
                 corpus,
                 store,
@@ -130,15 +134,9 @@ impl LiveCorpus {
         paths: DocPaths,
         stats: &ConvertStats,
     ) -> io::Result<(u64, usize)> {
-        // Serialize outside the lock; the record is only needed when a
-        // store is attached, but accretion is rare enough relative to
-        // serialization cost that unconditional encoding would also be
-        // fine — skip it for the in-memory path anyway.
-        let record = if self.read().store.is_some() {
-            Some(doc_to_record(&paths))
-        } else {
-            None
-        };
+        // Serialize outside the lock; only a durable corpus needs the
+        // record.
+        let record = self.has_store.then(|| doc_to_record(&paths));
         let mut inner = self.write();
         let shard = inner.corpus.shard_of(hash);
         inner.corpus.push_to(shard, paths);

@@ -121,38 +121,41 @@ impl Json {
         Ok(value)
     }
 
-    /// Serializes compactly.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
-    /// Serializes with two-space indentation.
+    /// Serializes with two-space indentation. Compact output is the
+    /// `Display` form (`value.to_string()`).
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, Some(2), 0)
+            .expect("writing to a String cannot fail");
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
+    /// Writes the value into any `fmt::Write` sink: compactly when
+    /// `indent` is `None`, else indented `indent` spaces per level, with
+    /// `level` levels already open.
+    fn write<W: fmt::Write + ?Sized>(
+        &self,
+        out: &mut W,
+        indent: Option<usize>,
+        level: usize,
+    ) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
             Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => write_seq(out, indent, level, '[', ']', items.len(), |out, i| {
-                items[i].write(out, indent, level + 1);
+                items[i].write(out, indent, level + 1)
             }),
             Json::Obj(members) => {
                 write_seq(out, indent, level, '{', '}', members.len(), |out, i| {
-                    write_string(out, &members[i].0);
-                    out.push(':');
+                    write_string(out, &members[i].0)?;
+                    out.write_char(':')?;
                     if indent.is_some() {
-                        out.push(' ');
+                        out.write_char(' ')?;
                     }
-                    members[i].1.write(out, indent, level + 1);
+                    members[i].1.write(out, indent, level + 1)
                 })
             }
         }
@@ -161,67 +164,82 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        self.write(f, None, 0)
     }
 }
 
-fn write_seq(
-    out: &mut String,
+fn write_seq<W: fmt::Write + ?Sized>(
+    out: &mut W,
     indent: Option<usize>,
     level: usize,
     open: char,
     close: char,
     len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
+    mut item: impl FnMut(&mut W, usize) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(open)?;
     if len == 0 {
-        out.push(close);
-        return;
+        return out.write_char(close);
     }
     for i in 0..len {
         if i > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
         if let Some(width) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat(' ').take(width * (level + 1)));
+            out.write_char('\n')?;
+            write_spaces(out, width * (level + 1))?;
         }
-        item(out, i);
+        item(out, i)?;
     }
     if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat(' ').take(width * level));
+        out.write_char('\n')?;
+        write_spaces(out, width * level)?;
     }
-    out.push(close);
+    out.write_char(close)
 }
 
-fn write_number(out: &mut String, n: f64) {
+fn write_spaces<W: fmt::Write + ?Sized>(out: &mut W, n: usize) -> fmt::Result {
+    (0..n).try_for_each(|_| out.write_char(' '))
+}
+
+/// Writes a JSON number: integral values within ±9e15 print as integers
+/// (`3`, not `3.0`), others in Rust's shortest round-trip form, and
+/// non-finite values as `null`. Formats in place, without allocating.
+pub fn write_number<W: fmt::Write + ?Sized>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
         // JSON has no NaN/Inf; fail safe to null like serde_json's lossy
         // modes rather than emitting unparseable output.
-        out.push_str("null");
+        out.write_str("null")
     } else if n == n.trunc() && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
+        write!(out, "{}", n as i64)
     } else {
-        out.push_str(&format!("{n}"));
+        write!(out, "{n}")
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters; runs of plain characters are copied whole.
+pub fn write_string<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.write_str(&s[plain..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        plain = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
 }
 
 const MAX_DEPTH: usize = 256;
@@ -799,6 +817,23 @@ mod tests {
         assert_eq!(Json::Num(3.0).to_string(), "3");
         assert_eq!(Json::Num(-41.0).to_string(), "-41");
         assert_eq!(Json::Num(2.5).to_string(), "2.5");
+    }
+
+    #[test]
+    fn serialized_bytes_are_pinned() {
+        let v = Json::obj([
+            ("s", Json::Str("q\"b\\s\n\r\t\u{1}\u{1f} é€/".into())),
+            ("n", Json::Arr(vec![Json::Num(1e16), Json::Num(-0.5), Json::Num(f64::NAN)])),
+            ("e", Json::Obj(vec![])),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"s":"q\"b\\s\n\r\t\u0001\u001f é€/","n":[10000000000000000,-0.5,null],"e":{}}"#
+        );
+        assert_eq!(
+            v.to_string_pretty(),
+            "{\n  \"s\": \"q\\\"b\\\\s\\n\\r\\t\\u0001\\u001f é€/\",\n  \"n\": [\n    10000000000000000,\n    -0.5,\n    null\n  ],\n  \"e\": {}\n}"
+        );
     }
 
     #[test]

@@ -35,6 +35,11 @@ done
 rm -f /tmp/webre-rules.$$
 echo "    workspace clean under --deny-warnings; all 9 rules registered"
 
+echo "==> cargo clippy --workspace (default lint levels: deny-level lints fail)"
+# Warnings are printed but do not fail the gate; an error-level lint
+# (the default `deny` group, correctness bugs) does.
+cargo clippy --workspace --offline -q
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -159,7 +159,7 @@ fn figure_2_label_paths() {
     .iter()
     .map(|p| p.iter().map(|s| (*s).to_owned()).collect())
     .collect();
-    assert_eq!(paths.paths.len(), expected.len());
+    assert_eq!(paths.paths().len(), expected.len());
     for p in expected {
         assert!(paths.contains(&p), "{p:?} missing");
     }
