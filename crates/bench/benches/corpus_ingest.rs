@@ -1,16 +1,18 @@
 //! Benchmark: one `/corpus/xml` ingest without the server — parse the
 //! XML body, extract its label paths, encode the WAL record and push the
 //! document into a corpus index — for single-resume documents and for
-//! multi-resume pages (16–32 KiB of concatenated resumes, ~550 elements).
+//! multi-resume pages (16–32 KiB of concatenated resumes, ~550 elements);
+//! and its WAL replay (`corpus_replay`): decode the record bytes and push
+//! the document.
 //!
-//! Each iteration ingests the next of 32 distinct documents of its class
-//! into an index that has already seen all of them, the steady state of a
-//! live corpus where every path key is known.
+//! Each iteration ingests or replays the next of 32 distinct documents of
+//! its class into an index that has already seen all of them, the steady
+//! state of a live corpus where every path key is known.
 
 use webre_concepts::resume;
 use webre_convert::Converter;
 use webre_corpus::CorpusGenerator;
-use webre_schema::{doc_to_record, extract_paths, CorpusIndex};
+use webre_schema::{doc_from_record, doc_to_record, extract_paths, CorpusIndex};
 use webre_substrate::bench::{criterion_group, criterion_main, Criterion};
 
 /// Distinct documents per class.
@@ -60,17 +62,33 @@ fn bench_ingest(c: &mut Criterion) {
             (0..DOCS).map(|i| xml(&multi_page(&gen, i))).collect(),
         ),
     ];
+    let mut records: Vec<Vec<Vec<u8>>> = Vec::new();
     let mut group = c.benchmark_group("corpus_ingest");
     for (class, docs) in &classes {
         let mut index = CorpusIndex::new();
-        for doc in docs {
-            ingest(&mut index, doc);
-        }
+        records.push(docs.iter().map(|doc| ingest(&mut index, doc)).collect());
         let mut next = 0;
         group.bench_function(*class, |b| {
             b.iter(|| {
                 next = (next + 1) % docs.len();
                 std::hint::black_box(ingest(&mut index, &docs[next]))
+            })
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("corpus_replay");
+    for ((class, _), records) in classes.iter().zip(&records) {
+        let mut index = CorpusIndex::new();
+        for record in records {
+            index.push(doc_from_record(record).expect("records decode"));
+        }
+        let mut next = 0;
+        group.bench_function(*class, |b| {
+            b.iter(|| {
+                next = (next + 1) % records.len();
+                let doc = doc_from_record(&records[next]).expect("records decode");
+                index.push(doc);
+                std::hint::black_box(index.len())
             })
         });
     }

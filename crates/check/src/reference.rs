@@ -6,12 +6,13 @@
 //! derivatives, a flat enumerate-and-filter miner instead of the
 //! recursive candidate-extension miner, a per-document scan of the DTD
 //! rules instead of per-path aggregates, and a per-node rescan of sibling
-//! lists with a `Json`-tree record encoder instead of one linear walk and
-//! a direct writer — so that a shared bug cannot hide by construction.
+//! lists with a `Json`-tree record encoder and decoder instead of one
+//! linear walk, a direct writer and a pull reader — so that a shared bug
+//! cannot hide by construction.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use webre_schema::{doc_frequency, DocPaths, DtdConfig, LabelPath, MajoritySchema};
-use webre_substrate::json::Json;
+use webre_schema::{doc_frequency, DocPaths, DtdConfig, LabelPath, MajoritySchema, PathEntry};
+use webre_substrate::json::{Json, JsonError};
 use webre_xml::{ContentExpr, Dtd, XmlDocument, XmlNode};
 
 // ---------------------------------------------------------------------------
@@ -357,7 +358,7 @@ pub fn ref_derive_dtd(schema: &MajoritySchema, corpus: &[DocPaths], config: &Dtd
 }
 
 // ---------------------------------------------------------------------------
-// Reference path extraction and WAL record encoder
+// Reference path extraction and WAL record codec
 // ---------------------------------------------------------------------------
 
 /// The path-level view of a document as four maps, one per kind of
@@ -502,6 +503,65 @@ pub fn ref_doc_to_record(doc: &RefDocPaths) -> Vec<u8> {
     ])
     .to_string()
     .into_bytes()
+}
+
+/// The WAL record decoder as a `Json` tree walk: parse the whole record,
+/// look each field up with [`Json::get`] (so the first of duplicate keys
+/// wins and unknown keys are ignored), and hand the entries, with child
+/// sequences by label, to [`DocPaths::from_labelled`], which sorts them
+/// and binary-searches each child's whole path.
+pub fn ref_doc_from_record(bytes: &[u8]) -> Result<DocPaths, JsonError> {
+    fn labels(value: &Json) -> Result<Vec<String>, JsonError> {
+        let Some(items) = value.as_arr() else {
+            return Err(JsonError(format!("path must be an array, got {value}")));
+        };
+        let mut path = Vec::with_capacity(items.len());
+        for item in items {
+            match item.as_str() {
+                Some(label) => path.push(label.to_owned()),
+                None => return Err(JsonError(format!("path label must be a string, got {item}"))),
+            }
+        }
+        if path.is_empty() {
+            return Err(JsonError("path must be non-empty".to_owned()));
+        }
+        Ok(path)
+    }
+    fn num(obj: &Json, key: &str) -> Result<f64, JsonError> {
+        obj.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| JsonError(format!("missing numeric field {key:?} in {obj}")))
+    }
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| JsonError(format!("record is not UTF-8: {e}")))?;
+    let value = Json::parse(text)?;
+    let Some(root) = value.get("root").and_then(Json::as_str) else {
+        return Err(JsonError(format!("document record needs a \"root\" string: {value}")));
+    };
+    let node_count = num(&value, "nodes")? as usize;
+    let Some(items) = value.get("paths").and_then(Json::as_arr) else {
+        return Err(JsonError(format!("document record needs a \"paths\" array: {value}")));
+    };
+    let mut entries = Vec::with_capacity(items.len());
+    for item in items {
+        let Some(path) = item.get("p") else {
+            return Err(JsonError(format!("path entry needs a \"p\" field: {item}")));
+        };
+        let entry = PathEntry {
+            path: labels(path)?,
+            multiplicity: num(item, "m")? as u32,
+            pos_sum: num(item, "s")?,
+            pos_count: num(item, "n")? as u64,
+            child_sequences: Vec::new(),
+        };
+        let sequences = match item.get("q").and_then(Json::as_arr) {
+            Some(sequences) => sequences.iter().map(labels).collect::<Result<_, _>>()?,
+            None => Vec::new(),
+        };
+        entries.push((entry, sequences));
+    }
+    DocPaths::from_labelled(root.to_owned(), node_count, entries)
+        .map_err(|e| JsonError(format!("bad document record: {e}")))
 }
 
 #[cfg(test)]

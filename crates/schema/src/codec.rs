@@ -16,9 +16,19 @@
 //! [`doc_to_record`] writes these bytes straight from the entries through
 //! the substrate string and number writers, without building a `Json`
 //! tree; `webre-check` keeps the tree-building encoder as its reference,
-//! and the two agree byte for byte. The decoder rebuilds the entries and
-//! accepts them in any order, refusing a path listed twice or a child
-//! label with no path entry.
+//! and the two agree byte for byte.
+//!
+//! [`doc_from_record`] is the mirror: it reads the bytes once with the
+//! substrate pull [`Reader`], building each entry's path once and keeping
+//! child labels borrowed from the record until every entry is read. It
+//! then sorts the entries (a no-op check for records as written) and
+//! resolves each child label against its parent's direct children, which
+//! follow the parent in path order. It accepts exactly what
+//! `webre-check`'s `Json`-tree reference decoder `ref_doc_from_record`
+//! accepts, quirks included: keys in any order, unknown keys skipped, the
+//! first of duplicate keys winning, a non-array `"q"` read as no
+//! sequences, numbers cast with `as`, and entries in any order. It
+//! refuses a path listed twice or a child label with no path entry.
 //!
 //! A [`PathTable`] entry is `{"p": path, "f": documents, "s": position
 //! sum, "n": position count, "m": [[num, documents], ...]}`, the last
@@ -26,8 +36,12 @@
 
 use crate::paths::{DocPaths, PathEntry};
 use crate::sharded::{PathStats, PathTable};
+use std::borrow::Cow;
 use std::fmt;
-use webre_substrate::json::{write_number, write_string, FromJson, Json, JsonError, ToJson};
+use std::ops::Range;
+use webre_substrate::json::{
+    write_number, write_string, FromJson, Json, JsonError, Reader, ToJson,
+};
 
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(message.into()))
@@ -107,38 +121,6 @@ fn write_record(out: &mut String, doc: &DocPaths) -> fmt::Result {
     Ok(())
 }
 
-impl FromJson for DocPaths {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let Some(root) = value.get("root").and_then(Json::as_str) else {
-            return err(format!("document record needs a \"root\" string: {value}"));
-        };
-        let node_count = get_num(value, "nodes")? as usize;
-        let Some(items) = value.get("paths").and_then(Json::as_arr) else {
-            return err(format!("document record needs a \"paths\" array: {value}"));
-        };
-        let mut entries = Vec::with_capacity(items.len());
-        for item in items {
-            let Some(path_value) = item.get("p") else {
-                return err(format!("path entry needs a \"p\" field: {item}"));
-            };
-            let entry = PathEntry {
-                path: path_from(path_value)?,
-                multiplicity: get_num(item, "m")? as u32,
-                pos_sum: get_num(item, "s")?,
-                pos_count: get_num(item, "n")? as u64,
-                child_sequences: Vec::new(),
-            };
-            let sequences = match item.get("q").and_then(Json::as_arr) {
-                Some(sequences) => sequences.iter().map(path_from).collect::<Result<_, _>>()?,
-                None => Vec::new(),
-            };
-            entries.push((entry, sequences));
-        }
-        DocPaths::from_labelled(root.to_owned(), node_count, entries)
-            .map_err(|e| JsonError(format!("bad document record: {e}")))
-    }
-}
-
 impl ToJson for PathTable {
     fn to_json(&self) -> Json {
         // The table is a BTreeMap, already in canonical sorted order.
@@ -216,12 +198,179 @@ pub fn doc_to_record(doc: &DocPaths) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Parses a WAL payload back into a document.
+/// Parses a WAL payload back into a document, reading the bytes once
+/// with the substrate pull [`Reader`] (see the module doc for what it
+/// accepts).
 pub fn doc_from_record(bytes: &[u8]) -> Result<DocPaths, JsonError> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| JsonError(format!("record is not UTF-8: {e}")))?;
-    let value = Json::parse(text)?;
-    DocPaths::from_json(&value)
+    let mut r = Reader::new(text);
+    let (mut root, mut nodes, mut items) = (None, None, None);
+    let mut sequences = Sequences::default();
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "root" if root.is_none() => root = Some(r.string()?.into_owned()),
+            "nodes" if nodes.is_none() => nodes = Some(r.number()?),
+            "paths" if items.is_none() => items = Some(read_entries(&mut r, &mut sequences)?),
+            _ => r.skip_value()?,
+        }
+    }
+    r.finish()?;
+    let (Some(root), Some(nodes), Some(items)) = (root, nodes, items) else {
+        return err("document record needs \"root\", \"nodes\" and \"paths\"");
+    };
+    resolve(root, nodes as usize, items, &sequences)
+}
+
+/// The child sequences of a record as read, before their labels are
+/// resolved to entries: every label in one list, borrowed from the
+/// record unless escaped, and where each sequence ends in it.
+#[derive(Default)]
+struct Sequences<'a> {
+    labels: Vec<Cow<'a, str>>,
+    ends: Vec<usize>,
+}
+
+/// Reads a non-empty array of strings, handing each to `push`.
+fn read_labels<'a>(
+    r: &mut Reader<'a>,
+    mut push: impl FnMut(Cow<'a, str>),
+) -> Result<(), JsonError> {
+    r.begin_array()?;
+    let mut empty = true;
+    while r.next_item()? {
+        push(r.string()?);
+        empty = false;
+    }
+    if empty {
+        return err("path must be non-empty");
+    }
+    Ok(())
+}
+
+/// Reads the `"paths"` array: each entry, with the range of its child
+/// sequences in `sequences.ends`.
+fn read_entries<'a>(
+    r: &mut Reader<'a>,
+    sequences: &mut Sequences<'a>,
+) -> Result<Vec<(PathEntry, Range<usize>)>, JsonError> {
+    let mut items = Vec::new();
+    r.begin_array()?;
+    while r.next_item()? {
+        r.begin_object()?;
+        let (mut path, mut m, mut s, mut n, mut q) = (None, None, None, None, None);
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "p" if path.is_none() => {
+                    let mut labels = Vec::new();
+                    read_labels(r, |label| labels.push(label.into_owned()))?;
+                    path = Some(labels);
+                }
+                "m" if m.is_none() => m = Some(r.number()?),
+                "s" if s.is_none() => s = Some(r.number()?),
+                "n" if n.is_none() => n = Some(r.number()?),
+                "q" if q.is_none() => {
+                    let first = sequences.ends.len();
+                    // Anything but an array reads as no sequences.
+                    if r.peek() == Some(b'[') {
+                        r.begin_array()?;
+                        while r.next_item()? {
+                            read_labels(r, |label| sequences.labels.push(label))?;
+                            sequences.ends.push(sequences.labels.len());
+                        }
+                    } else {
+                        r.skip_value()?;
+                    }
+                    q = Some(first..sequences.ends.len());
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        let (Some(path), Some(m), Some(s), Some(n)) = (path, m, s, n) else {
+            return err("path entry needs \"p\", \"m\", \"s\" and \"n\"");
+        };
+        let entry = PathEntry {
+            path,
+            multiplicity: m as u32,
+            pos_sum: s,
+            pos_count: n as u64,
+            child_sequences: Vec::new(),
+        };
+        items.push((entry, q.unwrap_or_default()));
+    }
+    Ok(items)
+}
+
+/// Sorts the entries by path (records are written sorted, so this is
+/// usually a check), refuses a path listed twice, and resolves every
+/// child label against its parent's direct children.
+fn resolve(
+    root_label: String,
+    node_count: usize,
+    mut items: Vec<(PathEntry, Range<usize>)>,
+    sequences: &Sequences,
+) -> Result<DocPaths, JsonError> {
+    if !items.windows(2).all(|w| w[0].0.path < w[1].0.path) {
+        items.sort_unstable_by(|a, b| a.0.path.cmp(&b.0.path));
+        if let Some(w) = items.windows(2).find(|w| w[0].0.path == w[1].0.path) {
+            return err(format!("path {:?} is listed twice", w[0].0.path));
+        }
+    }
+    // end[i]: one past the last entry whose path extends entry i's, so
+    // entries i+1..end[i] are exactly i's descendants. `open` holds the
+    // chain of entries that are prefixes of the last one seen.
+    let mut end = vec![items.len(); items.len()];
+    let mut open: Vec<usize> = Vec::new();
+    for (j, (entry, _)) in items.iter().enumerate() {
+        while let Some(&top) = open.last() {
+            if entry.path.starts_with(&items[top].0.path) {
+                break;
+            }
+            end[top] = j;
+            open.pop();
+        }
+        open.push(j);
+    }
+    let mut kids: Vec<usize> = Vec::new();
+    for i in 0..items.len() {
+        let range = items[i].1.clone();
+        if range.is_empty() {
+            continue;
+        }
+        // The direct children, ascending by label: hop from one
+        // descendant subtree to the next.
+        let depth = items[i].0.path.len();
+        kids.clear();
+        let mut j = i + 1;
+        while j < end[i] {
+            if items[j].0.path.len() == depth + 1 {
+                kids.push(j);
+            }
+            j = end[j];
+        }
+        let mut resolved = Vec::with_capacity(range.len());
+        for s in range {
+            let first = if s == 0 { 0 } else { sequences.ends[s - 1] };
+            let labels = &sequences.labels[first..sequences.ends[s]];
+            let mut sequence = Vec::with_capacity(labels.len());
+            for label in labels {
+                match kids.binary_search_by(|&k| items[k].0.path[depth].as_str().cmp(label)) {
+                    Ok(at) => sequence.push(kids[at] as u32),
+                    Err(_) => {
+                        return err(format!(
+                            "bad document record: child {label:?} of {:?} has no path entry",
+                            items[i].0.path
+                        ))
+                    }
+                }
+            }
+            resolved.push(sequence);
+        }
+        items[i].0.child_sequences = resolved;
+    }
+    let entries = items.into_iter().map(|(entry, _)| entry).collect();
+    Ok(DocPaths::from_sorted(root_label, node_count, entries))
 }
 
 #[cfg(test)]
@@ -337,6 +486,76 @@ mod tests {
             b"{\"root\":\"r\",\"nodes\":1,\"paths\":[{\"p\":[\"r\"],\"m\":1,\"s\":0,\"n\":1,\"q\":[[\"a\"]]}]}",
         ] {
             assert!(doc_from_record(bad).is_err(), "{:?}", String::from_utf8_lossy(bad));
+        }
+    }
+
+    /// Records `ref_doc_from_record` in `webre-check` accepts although
+    /// the encoder never writes them, each with the canonical record it
+    /// decodes to.
+    #[test]
+    fn quirky_records_decode_like_their_canonical_form() {
+        let canonical = r#"{"root":"r","nodes":2,"paths":[{"p":["r"],"m":1,"s":0,"n":1,"q":[["a"]]},{"p":["r","a"],"m":1,"s":0,"n":1}]}"#;
+        let leaf = r#"{"root":"r","nodes":1,"paths":[{"p":["r"],"m":1,"s":0,"n":1}]}"#;
+        for (quirky, expected) in [
+            // Keys in any order, entries in any order.
+            (r#"{"paths":[{"n":1,"s":0,"m":1,"p":["r","a"]},{"q":[["a"]],"p":["r"],"m":1,"s":0,"n":1}],"nodes":2,"root":"r"}"#, canonical),
+            // Unknown keys are skipped, however deep (below the limit).
+            (
+                &format!(
+                    r#"{{"root":"r","x":{{"y":[1,{{"z":null}}]}},"nodes":2,"paths":[{{"p":["r"],"m":1,"s":0,"n":1,"q":[["a"]],"deep":{}{}}},{{"p":["r","a"],"m":1,"s":0,"n":1}}]}}"#,
+                    "[".repeat(250),
+                    "]".repeat(250)
+                ),
+                canonical,
+            ),
+            // The first of duplicate keys wins; the rest only need to parse.
+            (r#"{"root":"r","root":5,"nodes":1,"nodes":"x","paths":[{"p":["r"],"p":[],"m":1,"s":0,"n":1,"m":-1}],"paths":7}"#, leaf),
+            // A non-array "q" reads as no sequences.
+            (r#"{"root":"r","nodes":1,"paths":[{"p":["r"],"m":1,"s":0,"n":1,"q":{"a":[["x"]]}}]}"#, leaf),
+            // Escaped labels and keys decode to their characters.
+            (r#"{"root":"\u0072","nodes":2,"paths":[{"\u0070":["r"],"m":1,"s":0,"n":1,"q":[["\u0061"]]},{"p":["r","a"],"m":1,"s":0,"n":1}]}"#, canonical),
+            // Numbers are cast: truncated and saturated at zero.
+            (r#"{"root":"r","nodes":2.9,"paths":[{"p":["r"],"m":1.5,"s":0,"n":1e0,"q":[["a"]]},{"p":["r","a"],"m":1,"s":0,"n":1}]}"#, canonical),
+            (r#"{"root":"r","nodes":1,"paths":[{"p":["r"],"m":1,"s":0,"n":1.2}]}"#, leaf),
+        ] {
+            let decoded = doc_from_record(quirky.as_bytes());
+            assert_eq!(
+                decoded,
+                doc_from_record(expected.as_bytes()),
+                "{quirky}"
+            );
+        }
+        let cast = doc_from_record(
+            br#"{"root":"r","nodes":-3,"paths":[{"p":["r"],"m":-1,"s":-2.5,"n":-1}]}"#,
+        )
+        .unwrap();
+        assert_eq!(cast.node_count, 0);
+        let entry = &cast.entries()[0];
+        assert_eq!((entry.multiplicity, entry.pos_sum, entry.pos_count), (0, -2.5, 0));
+    }
+
+    #[test]
+    fn refused_quirks_are_errors() {
+        let deep = format!(
+            r#"{{"root":"r","nodes":1,"x":{}{},"paths":[{{"p":["r"],"m":1,"s":0,"n":1}}]}}"#,
+            "[".repeat(300),
+            "]".repeat(300)
+        );
+        for bad in [
+            // Nested past the reader's limit, though the key is unknown.
+            deep.as_str(),
+            // A grandchild's label is not a child.
+            r#"{"root":"r","nodes":3,"paths":[{"p":["r"],"m":1,"s":0,"n":1,"q":[["x"]]},{"p":["r","a"],"m":1,"s":0,"n":1},{"p":["r","a","x"],"m":1,"s":0,"n":1}]}"#,
+            // A path listed twice, apart.
+            r#"{"root":"r","nodes":1,"paths":[{"p":["r"],"m":1,"s":0,"n":1},{"p":["r","a"],"m":1,"s":0,"n":1},{"p":["r"],"m":1,"s":0,"n":1}]}"#,
+            // An empty child sequence; an entry that is not an object.
+            r#"{"root":"r","nodes":1,"paths":[{"p":["r"],"m":1,"s":0,"n":1,"q":[[]]}]}"#,
+            r#"{"root":"r","nodes":1,"paths":[["r"]]}"#,
+            // A first duplicate of the wrong type; trailing text.
+            r#"{"root":5,"root":"r","nodes":1,"paths":[]}"#,
+            r#"{"root":"r","nodes":1,"paths":[]} {}"#,
+        ] {
+            assert!(doc_from_record(bad.as_bytes()).is_err(), "{bad}");
         }
     }
 }

@@ -65,10 +65,26 @@ pub struct DocPaths {
 }
 
 impl DocPaths {
+    /// A document from entries already strictly ascending by path, each
+    /// child sequence naming its children by entry index.
+    pub(crate) fn from_sorted(
+        root_label: String,
+        node_count: usize,
+        entries: Vec<PathEntry>,
+    ) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].path < w[1].path));
+        DocPaths {
+            root_label,
+            entries,
+            node_count,
+        }
+    }
+
     /// A document from entries in any order whose child sequences are
-    /// given by label. `Err` describes a path listed twice or a child
+    /// given by label: the constructor of `webre-check`'s reference
+    /// record decoder. `Err` describes a path listed twice or a child
     /// label naming no entry.
-    pub(crate) fn from_labelled(
+    pub fn from_labelled(
         root_label: String,
         node_count: usize,
         mut items: Vec<(PathEntry, Vec<Vec<String>>)>,

@@ -247,6 +247,15 @@ impl ShardedCorpus {
         }
     }
 
+    /// A corpus over the given shards, in id order (one empty shard
+    /// when given none). WAL replay builds each shard on its own.
+    pub fn from_shards(mut shards: Vec<CorpusIndex>) -> Self {
+        if shards.is_empty() {
+            shards.push(CorpusIndex::new());
+        }
+        ShardedCorpus { shards }
+    }
+
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -265,8 +274,8 @@ impl ShardedCorpus {
         shard
     }
 
-    /// Accretes a document into an explicit shard (WAL replay appends
-    /// each shard's log back into the same shard).
+    /// Accretes a document into an explicit shard, one the caller has
+    /// already routed to with [`ShardedCorpus::shard_of`].
     pub fn push_to(&mut self, shard: usize, doc: DocPaths) {
         self.shards[shard].push(doc);
     }

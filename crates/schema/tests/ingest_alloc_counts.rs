@@ -1,5 +1,6 @@
-//! Allocation-count regression tests for `/corpus/xml` ingest: path
-//! extraction, record encoding and the index push, per document.
+//! Allocation-count regression tests for `/corpus/xml` ingest (path
+//! extraction, record encoding and the index push) and for WAL replay
+//! (record decoding and the index push), per document.
 //!
 //! A counting `#[global_allocator]` (thread-local counters, so parallel
 //! test threads do not pollute each other) pins, for one single-resume
@@ -8,19 +9,23 @@
 //! 1. the allocations (alloc + realloc) of `extract_paths` +
 //!    `doc_to_record` + `CorpusIndex::push` for one document, pushed into
 //!    an index that has already seen the same document — the steady state
-//!    of a live corpus, where every path key is known; and
-//! 2. the heap bytes one extracted document keeps live — what the index
+//!    of a live corpus, where every path key is known;
+//! 2. the allocations of `doc_from_record` + `CorpusIndex::push` for one
+//!    record, into an index that has already seen its document — replay
+//!    of a WAL whose shapes repeat; and
+//! 3. the heap bytes one extracted document keeps live — what the index
 //!    retains for each distinct shape it interns.
 //!
-//! Both are ceilings at 1.25× the measured value, so the headroom covers
-//! allocator-pattern drift, not a path cloned into a second map again.
+//! All are ceilings at 1.25× the measured value, so the headroom covers
+//! allocator-pattern drift, not a path cloned into a second map again or
+//! a decoder that builds a `Json` tree again.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use webre_concepts::resume;
 use webre_convert::Converter;
-use webre_schema::{doc_to_record, extract_paths, CorpusIndex};
+use webre_schema::{doc_from_record, doc_to_record, extract_paths, CorpusIndex};
 use webre_xml::{parse_xml, XmlDocument};
 
 struct CountingAlloc;
@@ -89,6 +94,8 @@ struct Fixture {
     paths: usize,
     /// Ceiling on allocations for extract + encode + push.
     max_ingest_allocs: u64,
+    /// Ceiling on allocations for decode + push.
+    max_replay_allocs: u64,
     /// Ceiling on heap bytes one extracted document keeps live.
     max_shape_bytes: i64,
 }
@@ -116,6 +123,7 @@ fn fixtures() -> Vec<Fixture> {
             elements: 22,
             paths: 19,
             max_ingest_allocs: 165,
+            max_replay_allocs: 167,
             max_shape_bytes: 5_640,
         },
         Fixture {
@@ -124,6 +132,7 @@ fn fixtures() -> Vec<Fixture> {
             elements: 617,
             paths: 51,
             max_ingest_allocs: 760,
+            max_replay_allocs: 752,
             max_shape_bytes: 26_140,
         },
     ]
@@ -154,6 +163,22 @@ fn ingest_allocations_stay_under_ceiling() {
             "{}: extract + encode + push now makes {allocs} allocations (ceiling {})",
             f.name,
             f.max_ingest_allocs
+        );
+    }
+}
+
+#[test]
+fn replay_allocations_stay_under_ceiling() {
+    for f in fixtures() {
+        let record = doc_to_record(&extract_paths(&f.xml));
+        let mut index = CorpusIndex::new();
+        index.push(doc_from_record(&record).unwrap());
+        let (_, allocs, _) = measure(|| index.push(doc_from_record(&record).unwrap()));
+        assert!(
+            allocs <= f.max_replay_allocs,
+            "{}: decode + push now makes {allocs} allocations (ceiling {})",
+            f.name,
+            f.max_replay_allocs
         );
     }
 }

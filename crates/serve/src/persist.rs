@@ -163,13 +163,12 @@ fn resolve_shards(
     Ok(shards)
 }
 
-/// Replays one log file into `corpus` shard `shard`. Returns the number
-/// of records applied and, for tail logs, truncates any corrupt suffix
-/// so the reopened appender continues from the intact prefix.
+/// Replays one log file into `index`. Returns the number of records
+/// applied and, for tail logs, truncates any corrupt suffix so the
+/// reopened appender continues from the intact prefix.
 fn replay_log(
     path: &Path,
-    shard: usize,
-    corpus: &mut ShardedCorpus,
+    index: &mut CorpusIndex,
     truncate_corruption: bool,
     warnings: &mut Vec<String>,
 ) -> io::Result<usize> {
@@ -183,7 +182,7 @@ fn replay_log(
     for record in &decoded.records {
         match doc_from_record(record) {
             Ok(doc) => {
-                corpus.push_to(shard, doc);
+                index.push(doc);
                 applied += 1;
             }
             // The frame checksum passed, so the payload is as written;
@@ -211,42 +210,89 @@ fn replay_log(
     Ok(applied)
 }
 
+/// One shard as replay leaves it: its index, its reopened log, and what
+/// replaying it had to report.
+struct ShardReplay {
+    index: CorpusIndex,
+    log: ShardLog,
+    warnings: Vec<String>,
+}
+
+/// Replays shard `shard`'s snapshot and then its tail into a fresh
+/// index, and reopens the tail for appending.
+fn replay_shard(config: &StoreConfig, shard: usize) -> io::Result<ShardReplay> {
+    let mut index = CorpusIndex::new();
+    let mut warnings = Vec::new();
+    let dir = &config.data_dir;
+    let snapshot_docs = replay_log(&snapshot_path(dir, shard), &mut index, false, &mut warnings)?;
+    let tail_records = replay_log(&wal_path(dir, shard), &mut index, true, &mut warnings)?;
+    let wal = WalWriter::open_append(&wal_path(dir, shard), config.sync_every)?;
+    Ok(ShardReplay {
+        index,
+        log: ShardLog {
+            wal,
+            tail_records,
+            snapshot_docs,
+        },
+        warnings,
+    })
+}
+
+/// Replays every shard, returning them in shard-id order. Shards are
+/// independent (each has its own logs and its own index), so up to
+/// `threads` scoped threads each replay a contiguous run of them.
+fn replay_shards(
+    config: &StoreConfig,
+    shards: usize,
+    threads: usize,
+) -> Vec<io::Result<ShardReplay>> {
+    let per_thread = shards.div_ceil(threads.max(1)).max(1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .step_by(per_thread)
+            .map(|first| {
+                let run = first..(first + per_thread).min(shards);
+                let thread_run = run.clone();
+                let handle = scope.spawn(move || {
+                    thread_run.map(|shard| replay_shard(config, shard)).collect::<Vec<_>>()
+                });
+                (run, handle)
+            })
+            .collect();
+        let mut replays = Vec::with_capacity(shards);
+        for (run, handle) in handles {
+            match handle.join() {
+                Ok(run_replays) => replays.extend(run_replays),
+                Err(_) => {
+                    let error = format!("replay of shards {run:?} panicked");
+                    replays.extend(run.map(|_| Err(io::Error::other(error.clone()))));
+                }
+            }
+        }
+        replays
+    })
+}
+
 impl CorpusStore {
     /// Opens (or initializes) a data directory, replaying its contents.
     /// Returns the store, the recovered corpus, and a replay report.
+    /// Shards replay in parallel; warnings, and the first I/O error, are
+    /// reported in shard-id order.
     pub fn open(config: &StoreConfig) -> io::Result<(CorpusStore, ShardedCorpus, ReplayReport)> {
         std::fs::create_dir_all(&config.data_dir)?;
         let mut report = ReplayReport::default();
         let shard_count =
             resolve_shards(&config.data_dir, config.shards, &mut report.warnings)?;
         report.shards = shard_count;
-        let mut corpus = ShardedCorpus::new(shard_count);
+        let mut indexes = Vec::with_capacity(shard_count);
         let mut shards = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            let snapshot_docs = replay_log(
-                &snapshot_path(&config.data_dir, shard),
-                shard,
-                &mut corpus,
-                false,
-                &mut report.warnings,
-            )?;
-            let tail_records = replay_log(
-                &wal_path(&config.data_dir, shard),
-                shard,
-                &mut corpus,
-                true,
-                &mut report.warnings,
-            )?;
-            report.docs += snapshot_docs + tail_records;
-            let wal = WalWriter::open_append(
-                &wal_path(&config.data_dir, shard),
-                config.sync_every,
-            )?;
-            shards.push(ShardLog {
-                wal,
-                tail_records,
-                snapshot_docs,
-            });
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for replay in replay_shards(config, shard_count, threads) {
+            let replay = replay?;
+            report.docs += replay.log.snapshot_docs + replay.log.tail_records;
+            report.warnings.extend(replay.warnings);
+            indexes.push(replay.index);
+            shards.push(replay.log);
         }
         let store = CorpusStore {
             dir: config.data_dir.clone(),
@@ -254,7 +300,7 @@ impl CorpusStore {
             compact_min: config.compact_min.max(1),
             shards,
         };
-        Ok((store, corpus, report))
+        Ok((store, ShardedCorpus::from_shards(indexes), report))
     }
 
     /// Shard count this store was opened with.
@@ -464,6 +510,63 @@ mod tests {
         let (_, again, report) = CorpusStore::open(&cfg).unwrap();
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
         assert_eq!(again.len(), 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checksummed frame whose payload is no document record is
+    /// dropped with one warning; the records around it replay, the file
+    /// keeps its bytes, and the warnings come in shard order whatever the
+    /// number of replay threads.
+    #[test]
+    fn undecodable_tail_records_are_skipped_in_shard_order() {
+        let dir = temp_dir("undecodable");
+        let cfg = config(&dir, 3, 1024);
+        drop(CorpusStore::open(&cfg).unwrap());
+        let mut expected = ShardedCorpus::new(3);
+        let mut lengths = Vec::new();
+        for shard in 0..3 {
+            let mut buf = Vec::new();
+            for (i, xml) in ["<r><a/></r>", "<r><b><c/></b></r>", "<r><a/><a/></r>"]
+                .iter()
+                .enumerate()
+            {
+                if i == 2 && shard != 1 {
+                    let undecodable = br#"{"root":"r","nodes":1,"paths":[{"p":["r"],"m":1}]}"#;
+                    append_record(&mut buf, undecodable);
+                }
+                let doc = extract_paths(&parse_xml(xml).unwrap());
+                append_record(&mut buf, &doc_to_record(&doc));
+                expected.push_to(shard, doc);
+            }
+            std::fs::write(wal_path(&dir, shard), &buf).unwrap();
+            lengths.push(buf.len() as u64);
+        }
+        for threads in [1, 2, 3] {
+            let replays: Vec<ShardReplay> = replay_shards(&cfg, 3, threads)
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            let warnings: Vec<&String> = replays.iter().flat_map(|r| &r.warnings).collect();
+            assert_eq!(warnings.len(), 2, "{threads} thread(s): {warnings:?}");
+            for (warning, shard) in warnings.iter().zip([0, 2]) {
+                assert!(
+                    warning.contains("skipping undecodable record")
+                        && warning.contains(&format!("shard-{shard}.wal")),
+                    "{threads} thread(s): {warnings:?}"
+                );
+            }
+            for (replay, want) in replays.iter().zip(expected.shards()) {
+                assert!(replay.index.docs().eq(want.docs()), "{threads} thread(s)");
+                assert_eq!(replay.log.tail_records, 3);
+            }
+        }
+        let (_, restored, report) = CorpusStore::open(&cfg).unwrap();
+        assert_eq!(report.docs, 9);
+        assert_eq!(report.warnings.len(), 2, "{:?}", report.warnings);
+        assert_eq!(restored.table(), expected.table());
+        for (shard, length) in lengths.iter().enumerate() {
+            assert_eq!(std::fs::metadata(wal_path(&dir, shard)).unwrap().len(), *length);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -151,6 +151,7 @@ impl Server {
         let corpus = match &config.data_dir {
             None => LiveCorpus::in_memory(config.shards),
             Some(dir) => {
+                let replay_started = Instant::now();
                 let (store, sharded, report) = CorpusStore::open(&StoreConfig {
                     data_dir: dir.clone(),
                     shards: config.shards,
@@ -162,10 +163,11 @@ impl Server {
                 }
                 if report.docs > 0 {
                     eprintln!(
-                        "replayed {} document(s) across {} shard(s) from {}",
+                        "replayed {} document(s) across {} shard(s) from {} in {} ms",
                         report.docs,
                         report.shards,
-                        dir.display()
+                        dir.display(),
+                        replay_started.elapsed().as_millis()
                     );
                 }
                 LiveCorpus::durable(sharded, store)

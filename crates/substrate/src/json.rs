@@ -1,4 +1,5 @@
-//! Minimal JSON: a value type, a strict parser, compact and pretty
+//! Minimal JSON: a value type, a strict parser (also exposed as a pull
+//! [`Reader`] for decoding without a tree), compact and pretty
 //! serializers, and `ToJson`/`FromJson` conversion traits with
 //! derive-like macros.
 //!
@@ -22,6 +23,7 @@
 //! assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -107,17 +109,9 @@ impl Json {
     /// Parses a complete JSON document (trailing non-whitespace is an
     /// error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return err(format!("trailing characters at byte {}", p.pos));
-        }
+        let mut reader = Reader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -244,13 +238,62 @@ pub fn write_string<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result
 
 const MAX_DEPTH: usize = 256;
 
-struct Parser<'a> {
+/// A pull reader over JSON text: the one tokenizer behind
+/// [`Json::parse`], exposed so a decoder can read a document straight
+/// into its own types without building a [`Json`] tree.
+///
+/// The caller drives it by the shape it expects: [`Reader::begin_object`]
+/// then [`Reader::next_key`] until `None`, [`Reader::begin_array`] then
+/// [`Reader::next_item`] until `false`, and one value read
+/// ([`Reader::string`], [`Reader::number`], a nested container or
+/// [`Reader::skip_value`]) after each key and item. [`Reader::finish`]
+/// rejects trailing text. The reader accepts exactly what
+/// [`Json::parse`] accepts, including its nesting limit of 256.
+///
+/// ```
+/// use webre_substrate::json::Reader;
+///
+/// let mut r = Reader::new(r#"{"n": 2, "tags": ["a", "b"], "x": {"y": null}}"#);
+/// let mut tags = Vec::new();
+/// r.begin_object().unwrap();
+/// while let Some(key) = r.next_key().unwrap() {
+///     match &*key {
+///         "n" => assert_eq!(r.number().unwrap(), 2.0),
+///         "tags" => {
+///             r.begin_array().unwrap();
+///             while r.next_item().unwrap() {
+///                 tags.push(r.string().unwrap());
+///             }
+///         }
+///         _ => r.skip_value().unwrap(),
+///     }
+/// }
+/// r.finish().unwrap();
+/// assert_eq!(tags, ["a", "b"]);
+/// ```
+pub struct Reader<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the next value.
     depth: usize,
+    /// Whether the innermost container was just opened, so its first
+    /// member or item comes without a comma.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader positioned before the first value of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(b) = self.bytes.get(self.pos) {
             match b {
@@ -260,108 +303,228 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The first byte of the next value, after whitespace: `{`, `[`,
+    /// `"`, `-` or a digit, or a literal's first letter. `None` at the
+    /// end of the text.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
         self.bytes.get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.bytes.get(self.pos) == Some(&b) {
             self.pos += 1;
             Ok(())
         } else {
-            err(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            ))
+            err(format!("expected {:?} at byte {}", b as char, self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Moves to the start of a value, refusing one nested too deep.
+    fn start_value(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
         if self.depth >= MAX_DEPTH {
             return err("nesting too deep");
         }
+        self.fresh = false;
+        Ok(())
+    }
+
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        self.start_value()?;
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+        self.fresh = false;
+    }
+
+    /// Reads the `{` opening an object.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{')
+    }
+
+    /// Reads the `[` opening an array.
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[')
+    }
+
+    /// Reads the next member's key and its `:`, or the object's closing
+    /// `}` (then `None`). The member's value must be read next.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            Some(b'}') => {
+                self.close();
+                return Ok(None);
+            }
+            Some(b',') if !self.fresh => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ if !self.fresh => {
+                return err(format!("expected ',' or '}}' at byte {}", self.pos))
+            }
+            _ => {}
+        }
+        self.fresh = false;
+        let key = self.string_body()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Whether another item follows in the array; `false` once its
+    /// closing `]` is read. The item must be read next.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
+            _ if self.fresh => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => err(format!("expected ',' or ']' at byte {}", self.pos)),
+        }
+    }
+
+    /// Reads a string value, borrowed from the text when it has no
+    /// escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.start_value()?;
+        self.string_body()
+    }
+
+    /// Reads a number value.
+    pub fn number(&mut self) -> Result<f64, JsonError> {
+        self.start_value()?;
+        let start = self.pos;
+        if !matches!(self.bytes.get(start), Some(b) if *b == b'-' || b.is_ascii_digit()) {
+            return err(format!("expected a number at byte {start}"));
+        }
+        let digits = |r: &mut Self| {
+            while matches!(r.bytes.get(r.pos), Some(b) if b.is_ascii_digit()) {
+                r.pos += 1;
+            }
+        };
+        if self.bytes[start] == b'-' {
+            self.pos += 1;
+        }
+        digits(self);
+        if self.bytes.get(self.pos) == Some(&b'.') {
+            self.pos += 1;
+            digits(self);
+        }
+        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.bytes.get(self.pos), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            digits(self);
+        }
+        let text = &self.text[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            _ => err(format!("invalid number {text:?}")),
+        }
+    }
+
+    /// Reads and discards one value of any kind, checking it as
+    /// [`Json::parse`] would, without allocating for it (bar escaped
+    /// strings).
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => err(format!("unexpected {:?} at byte {}", b as char, self.pos)),
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'"') => {
+                self.string()?;
+            }
+            Some(b't' | b'f' | b'n') => {
+                self.literal()?;
+            }
+            _ => {
+                self.number()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that only whitespace follows the last value read.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return err(format!("trailing characters at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// Reads the next value as a tree.
+    fn value(&mut self) -> Result<Json, JsonError> {
+        self.start_value()?;
+        match self.bytes.get(self.pos) {
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut members = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    members.push((key.into_owned(), value));
+                }
+                Ok(Json::Obj(members))
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string_body()?.into_owned())),
+            Some(b't' | b'f' | b'n') => self.literal(),
+            Some(b) if *b == b'-' || b.is_ascii_digit() => self.number().map(Json::Num),
+            Some(b) => err(format!("unexpected {:?} at byte {}", *b as char, self.pos)),
             None => err("unexpected end of input"),
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        self.depth += 1;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
+    fn literal(&mut self) -> Result<Json, JsonError> {
+        self.start_value()?;
+        for (text, value) in [
+            ("true", Json::Bool(true)),
+            ("false", Json::Bool(false)),
+            ("null", Json::Null),
+        ] {
+            if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+                self.pos += text.len();
+                return Ok(value);
             }
         }
+        err(format!("invalid literal at byte {}", self.pos))
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        self.depth += 1;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a quoted string at the current byte.
+    fn string_body(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
             let start = self.pos;
             // Fast path: run of plain bytes.
@@ -371,63 +534,70 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| JsonError("invalid utf-8 in string".into()))?,
-            );
-            match self.peek() {
+            // The run ends at an ASCII byte or the end of the text, so it
+            // is whole characters.
+            let run = &self.text[start..self.pos];
+            let esc = match self.bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(run),
+                        Some(mut owned) => {
+                            owned.push_str(run);
+                            Cow::Owned(owned)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .peek()
+                    let esc = *self
+                        .bytes
+                        .get(self.pos)
                         .ok_or_else(|| JsonError("unterminated escape".into()))?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return err("invalid low surrogate");
-                                    }
-                                    let code =
-                                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(code)
-                                        .ok_or_else(|| JsonError("bad surrogate pair".into()))?
-                                } else {
-                                    return err("lone high surrogate");
-                                }
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return err("lone low surrogate");
-                            } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| JsonError("bad \\u escape".into()))?
-                            };
-                            out.push(c);
-                        }
-                        _ => return err(format!("bad escape \\{}", esc as char)),
-                    }
+                    esc
                 }
-                Some(b) if b < 0x20 => return err("raw control character in string"),
+                Some(b) if *b < 0x20 => return err("raw control character in string"),
                 Some(_) => unreachable!("fast path consumed plain bytes"),
                 None => return err("unterminated string"),
+            };
+            let out = out.get_or_insert_with(String::new);
+            out.push_str(run);
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let c = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair.
+                        if self.bytes.get(self.pos) == Some(&b'\\')
+                            && self.bytes.get(self.pos + 1) == Some(&b'u')
+                        {
+                            self.pos += 2;
+                            let lo = self.hex4()?;
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return err("invalid low surrogate");
+                            }
+                            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                            char::from_u32(code)
+                                .ok_or_else(|| JsonError("bad surrogate pair".into()))?
+                        } else {
+                            return err("lone high surrogate");
+                        }
+                    } else if (0xDC00..0xE000).contains(&hi) {
+                        return err("lone low surrogate");
+                    } else {
+                        char::from_u32(hi).ok_or_else(|| JsonError("bad \\u escape".into()))?
+                    };
+                    out.push(c);
+                }
+                _ => return err(format!("bad escape \\{}", esc as char)),
             }
         }
     }
@@ -442,37 +612,6 @@ impl<'a> Parser<'a> {
         let v = u32::from_str_radix(text, 16).map_err(|_| JsonError("bad \\u escape".into()))?;
         self.pos += 4;
         Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii number bytes");
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
-            _ => err(format!("invalid number {text:?}")),
-        }
     }
 }
 
@@ -843,6 +982,45 @@ mod tests {
             text.push('[');
         }
         assert!(Json::parse(&text).is_err());
+    }
+
+    #[test]
+    fn skip_value_accepts_exactly_what_parse_accepts() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let mut cases: Vec<String> = [
+            "{not json", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2",
+            "{\"a\" 1}", "[1 2]", "", "  ", "\u{7}", "nul", "+1", "01x",
+            "\"\\u12\"", "\"\\q\"", "\"\\ud800\"", "{\"a\":1,}", "[,1]", "{,}", ".5",
+            "[1,]", "{\"a\":1 \"b\":2}", "[}", "{]", "-", "1e999",
+            "null", " [true, false, null] ",
+            "{\"a\": {\"b\": [1, -2.5e3, \"\\u00e9\"]}, \"a\": {}}",
+            "-.5", "1.", "\"\\ud83c\\udf93\"",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        // The nesting limit: 256 containers parse, 257 do not.
+        cases.extend([nest(256), nest(257)]);
+        cases.extend([255, 256].map(|n| format!("{{\"k\":{}}}", nest(n))));
+        for text in &cases {
+            let mut reader = Reader::new(text);
+            let skipped = reader.skip_value().and_then(|()| reader.finish());
+            assert_eq!(skipped.is_ok(), Json::parse(text).is_ok(), "{text:?}");
+        }
+        assert!(Json::parse(&nest(256)).is_ok());
+        assert!(Json::parse(&nest(257)).is_err());
+    }
+
+    #[test]
+    fn reader_borrows_strings_without_escapes() {
+        let mut r = Reader::new(r#"["plain", "esc\u0061ped", 7]"#);
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("plain")));
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.string().unwrap(), Cow::Owned(s) if s == "escaped"));
+        assert!(r.next_item().unwrap());
+        assert!(r.string().is_err(), "a number is not a string");
     }
 
     #[test]
