@@ -1,9 +1,9 @@
 //! Benchmark: DTD conformance checking (Brzozowski derivatives) and the
-//! full document mapper.
+//! full document mapper (the default, unbudgeted planner).
 
 use webre_substrate::bench::{criterion_group, criterion_main, Criterion};
 use webre_bench::harness::{corpus_html, paper_pipeline};
-use webre_map::map_to_dtd;
+use webre_map::MapPlanner;
 
 fn bench_validate(c: &mut Criterion) {
     let pipeline = paper_pipeline();
@@ -18,8 +18,9 @@ fn bench_validate(c: &mut Criterion) {
             }
         })
     });
+    let planner = MapPlanner::default();
     c.bench_function("dtd/map_document", |b| {
-        b.iter(|| std::hint::black_box(map_to_dtd(&docs[0], &discovery.schema, &discovery.dtd)))
+        b.iter(|| std::hint::black_box(planner.plan(&docs[0], &discovery.schema, &discovery.dtd)))
     });
 }
 

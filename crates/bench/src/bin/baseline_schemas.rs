@@ -11,7 +11,7 @@
 
 use webre::Pipeline;
 use webre_corpus::CorpusGenerator;
-use webre_map::map_to_dtd;
+use webre_map::MapPlanner;
 use webre_schema::baselines::{dataguide, lower_bound, path_conformance};
 use webre_schema::{derive_dtd, extract_paths, DtdConfig, FrequentPathMiner, MajoritySchema};
 
@@ -26,11 +26,12 @@ fn report(
     let mut mapped_ok = 0usize;
     let mut total_cost = 0u64;
     let mut info_lost = 0u64; // demotions drop structure into vals
+    let planner = MapPlanner::default();
     for doc in docs {
-        let outcome = map_to_dtd(doc, schema, &dtd);
+        let outcome = planner.plan(doc, schema, &dtd);
         if outcome.conforms {
             mapped_ok += 1;
-            total_cost += u64::from(outcome.edit_distance);
+            total_cost += u64::from(outcome.cost.expect("an unbudgeted plan always has a cost"));
             info_lost += u64::from(outcome.demoted);
         }
     }

@@ -139,7 +139,6 @@ fn run_mode(mix: &Mix, schema: &MajoritySchema, dtd: &Dtd, filter: bool) -> Outc
     let planner = MapPlanner {
         budget: Some(BUDGET),
         filter,
-        ..MapPlanner::default()
     };
     let started = Instant::now();
     let mut tiers = [0usize; 3];

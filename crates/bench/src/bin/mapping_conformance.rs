@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release -p webre-bench --bin mapping_conformance`
 
+use webre::map::MapPlanner;
 use webre::Pipeline;
 use webre_corpus::CorpusGenerator;
 use webre_schema::FrequentPathMiner;
@@ -38,15 +39,16 @@ fn main() {
     let mut merged = 0u64;
     let mut reordered = 0u64;
 
+    let planner = MapPlanner::default();
     for doc in &docs {
         if webre::xml::validate::conforms(doc, &discovery.dtd) {
             already += 1;
             continue;
         }
-        let outcome = pipeline.map_document(doc, &discovery);
+        let outcome = pipeline.plan_document(doc, &discovery, &planner);
         if outcome.conforms {
             fixed += 1;
-            costs.push(outcome.edit_distance);
+            costs.push(outcome.cost.expect("an unbudgeted plan always has a cost"));
             demoted += u64::from(outcome.demoted);
             wrapped += u64::from(outcome.wrapped);
             inserted += u64::from(outcome.inserted);

@@ -12,6 +12,7 @@ use crate::minimize::ddmin;
 use crate::oracles::snippet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use webre_convert::Converter;
+use webre_map::MapPlanner;
 use webre_schema::{derive_dtd, extract_paths, DocPaths, DtdConfig, FrequentPathMiner};
 use webre_substrate::rand::rngs::StdRng;
 use webre_substrate::rand::Rng;
@@ -31,8 +32,9 @@ fn pipeline_total(htmls: &[String]) -> usize {
     let mut touched = docs.len();
     if let Some(outcome) = miner.mine(&paths) {
         let dtd = derive_dtd(&outcome.schema, &paths, &DtdConfig::default());
+        let planner = MapPlanner::default();
         for doc in &docs {
-            let mapped = webre_map::map_to_dtd(doc, &outcome.schema, &dtd);
+            let mapped = planner.plan(doc, &outcome.schema, &dtd);
             touched += usize::from(mapped.conforms);
             touched += webre_xml::validate::validate(&mapped.document, &dtd).len();
         }

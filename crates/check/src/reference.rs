@@ -5,14 +5,16 @@
 //! production crates — a position-set regex matcher instead of Brzozowski
 //! derivatives, a flat enumerate-and-filter miner instead of the
 //! recursive candidate-extension miner, a per-document scan of the DTD
-//! rules instead of per-path aggregates, and a per-node rescan of sibling
+//! rules instead of per-path aggregates, a per-node rescan of sibling
 //! lists with a `Json`-tree record encoder and decoder instead of one
-//! linear walk, a direct writer and a pull reader — so that a shared bug
-//! cannot hide by construction.
+//! linear walk, a direct writer and a pull reader, and a memoised
+//! rightmost-root forest recursion instead of Zhang–Shasha's keyroot
+//! tables — so that a shared bug cannot hide by construction.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use webre_schema::{doc_frequency, DocPaths, DtdConfig, LabelPath, MajoritySchema, PathEntry};
 use webre_substrate::json::{Json, JsonError};
+use webre_tree::{NodeId, Tree};
 use webre_xml::{ContentExpr, Dtd, XmlDocument, XmlNode};
 
 // ---------------------------------------------------------------------------
@@ -562,6 +564,60 @@ pub fn ref_doc_from_record(bytes: &[u8]) -> Result<DocPaths, JsonError> {
     }
     DocPaths::from_labelled(root.to_owned(), node_count, entries)
         .map_err(|e| JsonError(format!("bad document record: {e}")))
+}
+
+// ---------------------------------------------------------------------------
+// Reference tree-edit distance
+// ---------------------------------------------------------------------------
+
+/// An ordered forest of one tree, as the sequence of its root nodes.
+type Forest = Vec<NodeId>;
+
+/// Unit-cost ordered tree-edit distance (insert, delete and relabel each
+/// cost 1) — the reference for `webre_map::edit_script`.
+///
+/// The textbook recurrence on the rightmost roots `v` of `F` and `w` of
+/// `G`: `d(F, G)` is the least of deleting `v` (its children take its
+/// place), inserting `w`, or pairing `v` with `w`, which costs the
+/// distance between their child forests plus the distance between what
+/// is left of `F` and `G` plus 1 if the labels differ. It is memoised on
+/// the pair of root sequences, with no post-order numbering, leftmost
+/// leaves or keyroots. Every forest the recursion reaches is a contiguous
+/// run of one tree's nodes, so the memo holds `O(|A|²·|B|²)` entries:
+/// meant for test-sized trees.
+pub fn ref_tree_distance(a: &Tree<String>, b: &Tree<String>) -> u32 {
+    forest_distance(a, b, &[a.root()], &[b.root()], &mut HashMap::new())
+}
+
+fn forest_distance(
+    a: &Tree<String>,
+    b: &Tree<String>,
+    f: &[NodeId],
+    g: &[NodeId],
+    memo: &mut HashMap<(Forest, Forest), u32>,
+) -> u32 {
+    let (Some((&v, f_rest)), Some((&w, g_rest))) = (f.split_last(), g.split_last()) else {
+        // One forest is empty: delete or insert every node of the other.
+        let size: usize = f.iter().map(|&v| a.subtree_size(v)).sum::<usize>()
+            + g.iter().map(|&w| b.subtree_size(w)).sum::<usize>();
+        return size as u32;
+    };
+    let key = (f.to_vec(), g.to_vec());
+    if let Some(&d) = memo.get(&key) {
+        return d;
+    }
+    let children = |t: &Tree<String>, v: NodeId| t.children(v).collect::<Forest>();
+    let without_root = |t: &Tree<String>, rest: &[NodeId], v: NodeId| {
+        rest.iter().copied().chain(t.children(v)).collect::<Forest>()
+    };
+    let delete = forest_distance(a, b, &without_root(a, f_rest, v), g, memo) + 1;
+    let insert = forest_distance(a, b, f, &without_root(b, g_rest, w), memo) + 1;
+    let pair = forest_distance(a, b, &children(a, v), &children(b, w), memo)
+        + forest_distance(a, b, f_rest, g_rest, memo)
+        + u32::from(a.value(v) != b.value(w));
+    let d = delete.min(insert).min(pair);
+    memo.insert(key, d);
+    d
 }
 
 #[cfg(test)]

@@ -502,17 +502,12 @@ fn cmd_run(parsed: &Parsed) -> Result<ExitCode, CliError> {
             .ok_or_else(|| runtime_err("empty corpus or root below support threshold"))?;
         std::fs::write(out_dir.join("schema.dtd"), discovery.dtd.to_dtd_string())
             .map_err(|e| runtime_err(e.to_string()))?;
+        let planner = webre::map::MapPlanner::default();
         let mut conforming = 0usize;
         for (input, doc) in survivors.iter().zip(&docs) {
-            let outcome = pipeline.map_document(doc, &discovery);
-            let stem = Path::new(input)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "doc".into());
-            let path = out_dir.join(format!("{stem}.xml"));
-            std::fs::write(&path, webre::xml::to_xml_pretty(&outcome.document))
-                .map_err(|e| runtime_err(e.to_string()))?;
-            if outcome.conforms {
+            let planned = pipeline.plan_document(doc, &discovery, &planner);
+            write_mapped(&out_dir, input, &planned.document)?;
+            if planned.conforms {
                 conforming += 1;
             }
         }
@@ -526,6 +521,17 @@ fn cmd_run(parsed: &Parsed) -> Result<ExitCode, CliError> {
         eprintln!("{failures} input(s) skipped due to read errors");
     }
     Ok(exit_for(failures))
+}
+
+/// Writes a mapped document as pretty XML to `{dir}/{stem}.xml`, where
+/// `stem` is the input path's file stem (`doc` when it has none).
+fn write_mapped(dir: &Path, input: &str, doc: &XmlDocument) -> Result<(), CliError> {
+    let stem = Path::new(input)
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "doc".into());
+    std::fs::write(dir.join(format!("{stem}.xml")), webre::xml::to_xml_pretty(doc))
+        .map_err(|e| runtime_err(e.to_string()))
 }
 
 /// An optional `u32` edit-cost budget flag (absent means "no budget").
@@ -551,7 +557,6 @@ fn cmd_map(parsed: &Parsed) -> Result<ExitCode, CliError> {
     let planner = webre::map::MapPlanner {
         budget,
         filter: !parsed.switch("no-filter"),
-        ..webre::map::MapPlanner::default()
     };
     let pipeline = pipeline_from(parsed)?;
     let failures = traced(parsed, || {
@@ -578,15 +583,7 @@ fn cmd_map(parsed: &Parsed) -> Result<ExitCode, CliError> {
             }
             if let Some(dir) = &out_dir {
                 if planned.tier != webre::map::MapTier::Rejected {
-                    let stem = Path::new(input)
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_else(|| "doc".into());
-                    std::fs::write(
-                        dir.join(format!("{stem}.xml")),
-                        webre::xml::to_xml_pretty(&planned.document),
-                    )
-                    .map_err(|e| runtime_err(e.to_string()))?;
+                    write_mapped(dir, input, &planned.document)?;
                 }
             }
         }

@@ -51,7 +51,7 @@ pub use webre_xml as xml;
 
 use webre_concepts::{ConceptSet, ConstraintSet};
 use webre_convert::{ConvertConfig, ConvertStats, Converter};
-use webre_map::MapOutcome;
+use webre_map::{MapPlanner, PlannedMap};
 use webre_schema::{extract_paths, DocPaths, DtdConfig, FrequentPathMiner, MajoritySchema};
 use webre_xml::{Dtd, XmlDocument};
 
@@ -192,38 +192,28 @@ impl Pipeline {
         })
     }
 
-    /// Maps a (possibly non-conforming) document onto a discovered DTD,
-    /// under a `map-to-dtd` span.
-    pub fn map_document(
-        &self,
-        doc: &XmlDocument,
-        discovery: &DiscoveryResult,
-    ) -> MapOutcome {
-        obs::span(obs::stage::MAP, || {
-            webre_map::map_to_dtd(doc, &discovery.schema, &discovery.dtd)
-        })
-    }
-
-    /// Maps `doc` through the tiered planner (conformant / rejected /
-    /// exact) instead of the always-exact [`Pipeline::map_document`] —
-    /// the batch twin of `POST /map`.
+    /// Maps a (possibly non-conforming) document onto a discovered DTD
+    /// through the tiered planner (conformant / rejected / exact), under a
+    /// `map-to-dtd` span — the batch twin of `POST /map`.
     pub fn plan_document(
         &self,
         doc: &XmlDocument,
         discovery: &DiscoveryResult,
-        planner: &webre_map::MapPlanner,
-    ) -> webre_map::PlannedMap {
+        planner: &MapPlanner,
+    ) -> PlannedMap {
         planner.plan(doc, &discovery.schema, &discovery.dtd)
     }
 
     /// Full run: convert every HTML document, discover the schema, and map
-    /// every document onto the derived DTD.
-    pub fn run(&self, htmls: &[String]) -> Option<(DiscoveryResult, Vec<MapOutcome>)> {
+    /// every document onto the derived DTD with the default (unbudgeted)
+    /// planner, so every mapping carries its edit cost.
+    pub fn run(&self, htmls: &[String]) -> Option<(DiscoveryResult, Vec<PlannedMap>)> {
         let docs: Vec<XmlDocument> = htmls.iter().map(|h| self.convert_html(h).0).collect();
         let discovery = self.discover_schema(&docs)?;
+        let planner = MapPlanner::default();
         let mapped = docs
             .iter()
-            .map(|d| self.map_document(d, &discovery))
+            .map(|d| self.plan_document(d, &discovery, &planner))
             .collect();
         Some((discovery, mapped))
     }

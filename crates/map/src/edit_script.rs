@@ -1,17 +1,20 @@
-//! Edit-script extraction for the Zhang–Shasha distance.
+//! Zhang–Shasha ordered tree-edit distance with edit-script extraction.
 //!
-//! Beyond the scalar distance, the Document Mapping Component wants to
-//! *explain* a mapping: which nodes were relabeled, deleted, inserted and
-//! which matched. This module recomputes the forest-distance tables for
-//! the relevant keyroot pairs and backtracks through them, producing an
-//! optimal [`EditOp`] sequence whose total cost equals
-//! [`crate::zhang_shasha::edit_distance`].
+//! The classical dynamic program over post-order numbering, leftmost-leaf
+//! indices and keyroots (Zhang & Shasha, SIAM J. Comput. 1989), at unit
+//! costs: insert, delete and relabel each cost 1. Beyond the scalar
+//! distance, the Document Mapping Component wants to *explain* a mapping:
+//! which nodes were relabeled, deleted, inserted and which matched. After
+//! the full pass, this module recomputes the forest-distance tables for
+//! the relevant tree pairs and backtracks through them, producing an
+//! optimal [`EditOp`] sequence whose non-`Match` operations number
+//! exactly the distance. Complexity is
+//! `O(|T₁|·|T₂|·min(depth₁,leaves₁)·min(depth₂,leaves₂))` — comfortably
+//! fast for resume-sized documents.
 //!
-//! Node references are post-order indices into the respective tree (the
-//! same numbering [`post_order_labels`] yields), which keeps the script
-//! self-contained and cheap to store.
+//! Node references are post-order indices into the respective tree,
+//! which keeps the script self-contained and cheap to store.
 
-use crate::zhang_shasha::EditCosts;
 use webre_tree::Tree;
 
 /// One operation of an edit script.
@@ -26,13 +29,6 @@ pub enum EditOp {
     Delete { from: usize },
     /// Node `to` of the target is inserted.
     Insert { to: usize },
-}
-
-/// Labels of a tree in post-order (the numbering edit scripts refer to).
-pub fn post_order_labels(tree: &Tree<String>) -> Vec<String> {
-    tree.post_order(tree.root())
-        .map(|id| tree.value(id).clone())
-        .collect()
 }
 
 struct Flat {
@@ -68,8 +64,8 @@ fn flatten(tree: &Tree<String>) -> Flat {
     }
 }
 
-/// Computes an optimal edit script together with its total cost.
-pub fn edit_script(a: &Tree<String>, b: &Tree<String>, costs: &EditCosts) -> (u32, Vec<EditOp>) {
+/// Computes an optimal unit-cost edit script together with its total cost.
+pub fn edit_script(a: &Tree<String>, b: &Tree<String>) -> (u32, Vec<EditOp>) {
     let t1 = flatten(a);
     let t2 = flatten(b);
     let n = t1.labels.len();
@@ -78,12 +74,12 @@ pub fn edit_script(a: &Tree<String>, b: &Tree<String>, costs: &EditCosts) -> (u3
     // Mapping pairs discovered per tree pair; recomputed with backtracking.
     for &i in &t1.keyroots {
         for &j in &t2.keyroots {
-            forest_dist(&t1, &t2, i, j, costs, &mut treedist, None);
+            forest_dist(&t1, &t2, i, j, &mut treedist, None);
         }
     }
     // Backtrack on the whole-tree problem, descending into sub-problems.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
-    backtrack(&t1, &t2, n - 1, m - 1, costs, &treedist, &mut pairs);
+    backtrack(&t1, &t2, n - 1, m - 1, &mut treedist, &mut pairs);
 
     let mut ops = Vec::new();
     let mut matched_a = vec![false; n];
@@ -109,25 +105,18 @@ pub fn edit_script(a: &Tree<String>, b: &Tree<String>, costs: &EditCosts) -> (u3
     }
     let cost = ops
         .iter()
-        .map(|op| match op {
-            EditOp::Match { .. } => 0,
-            EditOp::Relabel { .. } => costs.relabel,
-            EditOp::Delete { .. } => costs.delete,
-            EditOp::Insert { .. } => costs.insert,
-        })
-        .sum();
+        .filter(|op| !matches!(op, EditOp::Match { .. }))
+        .count() as u32;
     (cost, ops)
 }
 
 /// Forest distance for keyroot pair `(i, j)`; optionally returns the final
 /// `fd` table for backtracking.
-#[allow(clippy::too_many_arguments)]
 fn forest_dist(
     t1: &Flat,
     t2: &Flat,
     i: usize,
     j: usize,
-    costs: &EditCosts,
     treedist: &mut [Vec<u32>],
     mut table_out: Option<&mut Vec<Vec<u32>>>,
 ) {
@@ -137,30 +126,26 @@ fn forest_dist(
     let cols = j - lj + 2;
     let mut fd = vec![vec![0u32; cols]; rows];
     for x in 1..rows {
-        fd[x][0] = fd[x - 1][0] + costs.delete;
+        fd[x][0] = fd[x - 1][0] + 1;
     }
     for y in 1..cols {
-        fd[0][y] = fd[0][y - 1] + costs.insert;
+        fd[0][y] = fd[0][y - 1] + 1;
     }
     for x in 1..rows {
         for y in 1..cols {
             let node1 = li + x - 1;
             let node2 = lj + y - 1;
             if t1.lml[node1] == li && t2.lml[node2] == lj {
-                let relabel = if t1.labels[node1] == t2.labels[node2] {
-                    0
-                } else {
-                    costs.relabel
-                };
-                fd[x][y] = (fd[x - 1][y] + costs.delete)
-                    .min(fd[x][y - 1] + costs.insert)
+                let relabel = u32::from(t1.labels[node1] != t2.labels[node2]);
+                fd[x][y] = (fd[x - 1][y] + 1)
+                    .min(fd[x][y - 1] + 1)
                     .min(fd[x - 1][y - 1] + relabel);
                 treedist[node1][node2] = fd[x][y];
             } else {
                 let xi = t1.lml[node1] - li;
                 let yj = t2.lml[node2] - lj;
-                fd[x][y] = (fd[x - 1][y] + costs.delete)
-                    .min(fd[x][y - 1] + costs.insert)
+                fd[x][y] = (fd[x - 1][y] + 1)
+                    .min(fd[x][y - 1] + 1)
                     .min(fd[xi][yj] + treedist[node1][node2]);
             }
         }
@@ -172,30 +157,31 @@ fn forest_dist(
 
 /// Backtracks the tree problem rooted at post-order nodes `(i, j)`,
 /// collecting matched/relabeled node pairs.
+///
+/// Recomputing the `fd` table for `(i, j)` writes back into `treedist`
+/// exactly the subtree distances the full pass already stored there, so
+/// every call shares the one table instead of copying it.
 fn backtrack(
     t1: &Flat,
     t2: &Flat,
     i: usize,
     j: usize,
-    costs: &EditCosts,
-    treedist: &[Vec<u32>],
+    treedist: &mut [Vec<u32>],
     pairs: &mut Vec<(usize, usize)>,
 ) {
-    // Recompute the fd table for this tree pair.
     let mut fd: Vec<Vec<u32>> = Vec::new();
-    let mut treedist_scratch = treedist.to_vec();
-    forest_dist(t1, t2, i, j, costs, &mut treedist_scratch, Some(&mut fd));
+    forest_dist(t1, t2, i, j, treedist, Some(&mut fd));
 
     let li = t1.lml[i];
     let lj = t2.lml[j];
     let mut x = i - li + 1;
     let mut y = j - lj + 1;
     while x > 0 || y > 0 {
-        if x > 0 && fd[x][y] == fd[x - 1][y] + costs.delete {
+        if x > 0 && fd[x][y] == fd[x - 1][y] + 1 {
             x -= 1; // node li+x deleted
             continue;
         }
-        if y > 0 && fd[x][y] == fd[x][y - 1] + costs.insert {
+        if y > 0 && fd[x][y] == fd[x][y - 1] + 1 {
             y -= 1; // node lj+y inserted
             continue;
         }
@@ -208,7 +194,7 @@ fn backtrack(
             y -= 1;
         } else {
             // Sub-tree substitution: recurse, then jump over both subtrees.
-            backtrack(t1, t2, node1, node2, costs, treedist, pairs);
+            backtrack(t1, t2, node1, node2, treedist, pairs);
             x = t1.lml[node1] - li;
             y = t2.lml[node2] - lj;
         }
@@ -216,12 +202,12 @@ fn backtrack(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::zhang_shasha::edit_distance;
 
-    fn tree(spec: &str) -> Tree<String> {
-        // Same tiny "a(b,c(d))" builder as the distance tests.
+    /// Builds a label tree from `"a(b,c(d))"` syntax. Labels are runs of
+    /// alphanumerics and `#`.
+    pub(crate) fn tree(spec: &str) -> Tree<String> {
         fn parse(
             chars: &mut std::iter::Peekable<std::str::Chars>,
             tree: &mut Tree<String>,
@@ -230,7 +216,7 @@ mod tests {
             loop {
                 let mut label = String::new();
                 while let Some(&c) = chars.peek() {
-                    if c.is_alphanumeric() {
+                    if c.is_alphanumeric() || c == '#' {
                         label.push(c);
                         chars.next();
                     } else {
@@ -244,28 +230,12 @@ mod tests {
                         tree.root()
                     }
                 };
-                match chars.peek() {
-                    Some('(') => {
-                        chars.next();
-                        parse(chars, tree, Some(node));
-                        match chars.peek() {
-                            Some(',') => {
-                                chars.next();
-                            }
-                            Some(')') => {
-                                chars.next();
-                                return;
-                            }
-                            _ => return,
-                        }
-                    }
-                    Some(',') => {
-                        chars.next();
-                    }
-                    Some(')') => {
-                        chars.next();
-                        return;
-                    }
+                if chars.peek() == Some(&'(') {
+                    chars.next();
+                    parse(chars, tree, Some(node));
+                }
+                match chars.next() {
+                    Some(',') => continue,
                     _ => return,
                 }
             }
@@ -275,17 +245,19 @@ mod tests {
         t
     }
 
+    /// Labels of a tree in post-order (the numbering edit scripts refer to).
+    fn post_order_labels(tree: &Tree<String>) -> Vec<String> {
+        tree.post_order(tree.root())
+            .map(|id| tree.value(id).clone())
+            .collect()
+    }
+
+    /// The script for `a` → `b`, after checking that every source node is
+    /// deleted or matched exactly once and every target node inserted or
+    /// matched exactly once.
     fn check(a: &str, b: &str) -> (u32, Vec<EditOp>) {
         let (ta, tb) = (tree(a), tree(b));
-        let costs = EditCosts::default();
-        let (cost, ops) = edit_script(&ta, &tb, &costs);
-        assert_eq!(
-            cost,
-            edit_distance(&ta, &tb, &costs),
-            "script cost diverges from distance for {a} vs {b}"
-        );
-        // Every source node is deleted or matched exactly once; target
-        // nodes inserted or matched exactly once.
+        let (cost, ops) = edit_script(&ta, &tb);
         let n = post_order_labels(&ta).len();
         let m = post_order_labels(&tb).len();
         let mut from_seen = vec![0u32; n];
@@ -305,12 +277,29 @@ mod tests {
         (cost, ops)
     }
 
+    fn d(a: &str, b: &str) -> u32 {
+        check(a, b).0
+    }
+
     #[test]
     fn identical_trees_all_match() {
         let (cost, ops) = check("a(b,c)", "a(b,c)");
         assert_eq!(cost, 0);
         assert!(ops.iter().all(|o| matches!(o, EditOp::Match { .. })));
         assert_eq!(ops.len(), 3);
+    }
+
+    #[test]
+    fn identical_trees_are_distance_zero() {
+        assert_eq!(d("a(b,c)", "a(b,c)"), 0);
+        assert_eq!(d("a", "a"), 0);
+    }
+
+    #[test]
+    fn single_relabel() {
+        assert_eq!(d("a", "b"), 1);
+        assert_eq!(d("a(b,c)", "a(b,x)"), 1);
+        assert_eq!(d("a(b,c)", "x(b,c)"), 1);
     }
 
     #[test]
@@ -323,6 +312,25 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn single_insert_or_delete() {
+        assert_eq!(d("a(b)", "a(b,c)"), 1);
+        assert_eq!(d("a(b,c)", "a(b)"), 1);
+        assert_eq!(d("a", "a(b)"), 1);
+    }
+
+    #[test]
+    fn insert_intermediate_node() {
+        // a(b) → a(x(b)): insert x between a and b.
+        assert_eq!(d("a(b)", "a(x(b))"), 1);
+    }
+
+    #[test]
+    fn delete_collapses_subtree_children_up() {
+        // a(x(b,c)) → a(b,c): delete x.
+        assert_eq!(d("a(x(b,c))", "a(b,c)"), 1);
     }
 
     #[test]
@@ -342,9 +350,51 @@ mod tests {
     }
 
     #[test]
+    fn symmetric() {
+        let pairs = [("a(b,c)", "a(c,b)"), ("a(b(d),c)", "a(b,c(d))"), ("a", "b(c)")];
+        for (x, y) in pairs {
+            assert_eq!(d(x, y), d(y, x), "asymmetry for {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn sibling_swap_costs_two_unit_ops() {
+        // b,c → c,b: relabel both (or delete+insert) = 2.
+        assert_eq!(d("a(b,c)", "a(c,b)"), 2);
+    }
+
+    #[test]
     fn classic_example_script() {
         let (cost, _) = check("f(d(a,c(b)),e)", "f(c(d(a,b)),e)");
         assert_eq!(cost, 2);
+    }
+
+    #[test]
+    fn known_zhang_shasha_example() {
+        // The classical example: f(d(a,c(b)),e) vs f(c(d(a,b)),e) = 2.
+        assert_eq!(d("f(d(a,c(b)),e)", "f(c(d(a,b)),e)"), 2);
+    }
+
+    #[test]
+    fn distance_bounded_by_sizes() {
+        let dist = d("a(b(c,d),e(f))", "x(y)");
+        assert!(dist <= 6 + 2);
+        assert!(dist >= 4); // at least delete the size difference
+    }
+
+    #[test]
+    fn triangle_inequality_spot_checks() {
+        let specs = ["a(b,c)", "a(b(d),c)", "x(b)", "a", "a(c(b))"];
+        for x in &specs {
+            for y in &specs {
+                for z in &specs {
+                    assert!(
+                        d(x, z) <= d(x, y) + d(y, z),
+                        "triangle violated: {x} {y} {z}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -358,7 +408,7 @@ mod tests {
         ];
         for x in &specs {
             for y in &specs {
-                check(x, y);
+                assert_eq!(d(x, y), d(y, x), "asymmetry for {x} vs {y}");
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Admissible lower bounds on the Zhang–Shasha edit distance.
+//! Admissible lower bounds on the unit-cost Zhang–Shasha edit distance.
 //!
 //! The tiered mapping planner ([`crate::planner`]) wants to skip the
 //! quadratic edit-distance dynamic program whenever a cheap bound already
@@ -18,8 +18,9 @@
 //!    which at most `common = Σ_label min(countA, countB)` can be
 //!    zero-cost matches; the remaining `t − common` pairs pay a relabel
 //!    and the unmatched `n − t` / `m − t` nodes pay deletes / inserts.
-//!    Minimizing over `t` gives a bound that is exact on bag-disjoint
-//!    trees.
+//!    At unit costs a relabel (1) beats a delete plus an insert (2), so
+//!    the minimum sits at `t = min(n, m)`: `max(n, m) − common`. The
+//!    bound is exact on bag-disjoint trees.
 //! 2. **Leaf count**: only a leaf delete can lower the leaf count and
 //!    only a leaf insert can raise it, each by at most one — so a leaf
 //!    deficit of `k` forces `k` deletes (or inserts, directionally).
@@ -28,13 +29,11 @@
 //!
 //! The returned bound is the maximum of the three (a maximum of
 //! admissible bounds is admissible). The property tests at the bottom
-//! hold `lower_bound ≤ edit_distance` over randomized tree pairs and
-//! `lower_bound == 0` on identical trees.
+//! hold `lower_bound ≤` the [`crate::edit_script()`] cost over randomized
+//! tree pairs and `lower_bound == 0` on identical trees.
 
-use crate::zhang_shasha::{label_tree, EditCosts};
 use std::collections::BTreeMap;
 use webre_tree::Tree;
-use webre_xml::XmlDocument;
 
 /// Linear-time structural summary of a label tree, sufficient to evaluate
 /// every bound in this module without touching the tree again.
@@ -80,13 +79,6 @@ impl TreeProfile {
         }
     }
 
-    /// Profiles an XML document's label tree (element names, `#PCDATA`
-    /// text leaves — the same view [`crate::zhang_shasha::edit_distance_docs`]
-    /// compares).
-    pub fn of_doc(doc: &XmlDocument) -> TreeProfile {
-        TreeProfile::of_tree(&label_tree(doc))
-    }
-
     /// Shared label mass: `Σ_label min(countA, countB)`, an upper bound on
     /// the number of zero-cost matches any mapping can contain.
     fn common_labels(&self, other: &TreeProfile) -> usize {
@@ -97,60 +89,26 @@ impl TreeProfile {
     }
 }
 
-/// An admissible lower bound on
-/// [`crate::zhang_shasha::edit_distance`]`(a, b, costs)`: never exceeds
-/// the true distance, and equals zero when the trees are identical.
-pub fn lower_bound(a: &TreeProfile, b: &TreeProfile, costs: &EditCosts) -> u32 {
-    let histogram = histogram_bound(a, b, costs);
-    let leaves = directional_bound(a.leaves, b.leaves, costs);
-    let depth = directional_bound(a.depth, b.depth, costs);
-    histogram.max(leaves).max(depth)
-}
-
-/// Convenience: the bound for two documents, profiling both.
-pub fn lower_bound_docs(a: &XmlDocument, b: &XmlDocument, costs: &EditCosts) -> u32 {
-    lower_bound(&TreeProfile::of_doc(a), &TreeProfile::of_doc(b), costs)
-}
-
-/// The label-histogram bound: minimize
-/// `(n−t)·delete + (m−t)·insert + max(0, t−common)·relabel` over the
-/// matched-pair count `t ∈ [0, min(n,m)]`. The expression is piecewise
-/// linear in `t` with breakpoint at `common`, so the minimum sits at
-/// `t = min(common, min(n,m))` or `t = min(n,m)`.
-fn histogram_bound(a: &TreeProfile, b: &TreeProfile, costs: &EditCosts) -> u32 {
-    let n = a.size as u64;
-    let m = b.size as u64;
-    let common = a.common_labels(b) as u64;
-    let t_max = n.min(m);
-    let candidates = [common.min(t_max), t_max];
-    candidates
-        .iter()
-        .map(|&t| {
-            (n - t) * u64::from(costs.delete)
-                + (m - t) * u64::from(costs.insert)
-                + t.saturating_sub(common) * u64::from(costs.relabel)
-        })
-        .min()
-        .unwrap_or(0)
-        .min(u64::from(u32::MAX)) as u32
-}
-
-/// Directional structural bound: a deficit of `k` in a monotone quantity
-/// (leaves, depth) that only deletes can lower and only inserts can raise
-/// forces `k` operations of that kind.
-fn directional_bound(a: usize, b: usize, costs: &EditCosts) -> u32 {
-    let (deficit, per_op) = if a >= b {
-        (a - b, costs.delete)
-    } else {
-        (b - a, costs.insert)
-    };
-    ((deficit as u64 * u64::from(per_op)).min(u64::from(u32::MAX))) as u32
+/// An admissible lower bound on the [`crate::edit_script()`] cost of
+/// `a` → `b`: never exceeds the true distance, and equals zero when the
+/// trees are identical.
+pub fn lower_bound(a: &TreeProfile, b: &TreeProfile) -> u32 {
+    // Label histogram: relabel the `min(n, m) − common` matched pairs
+    // that cannot match for free, delete or insert the size surplus.
+    let histogram = a.size.max(b.size) - a.common_labels(b);
+    // Leaves and depth: a deficit of `k` in a quantity that one delete
+    // or insert moves by at most one forces `k` operations.
+    let leaves = a.leaves.abs_diff(b.leaves);
+    let depth = a.depth.abs_diff(b.depth);
+    u32::try_from(histogram.max(leaves).max(depth)).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zhang_shasha::edit_distance;
+    use crate::edit_script::edit_script;
+    use crate::edit_script::tests::tree;
+    use crate::planner::label_tree;
     use webre_substrate::rand::rngs::StdRng;
     use webre_substrate::rand::{Rng, SeedableRng};
 
@@ -170,12 +128,8 @@ mod tests {
         tree
     }
 
-    fn random_costs(rng: &mut StdRng) -> EditCosts {
-        EditCosts {
-            insert: rng.gen_range(1..=5),
-            delete: rng.gen_range(1..=5),
-            relabel: rng.gen_range(1..=5),
-        }
+    fn bound(a: &Tree<String>, b: &Tree<String>) -> u32 {
+        lower_bound(&TreeProfile::of_tree(a), &TreeProfile::of_tree(b))
     }
 
     #[test]
@@ -184,16 +138,11 @@ mod tests {
         for case in 0..400 {
             let a = random_tree(&mut rng, 14);
             let b = random_tree(&mut rng, 14);
-            let costs = if case % 3 == 0 {
-                random_costs(&mut rng)
-            } else {
-                EditCosts::default()
-            };
-            let exact = edit_distance(&a, &b, &costs);
-            let bound = lower_bound(&TreeProfile::of_tree(&a), &TreeProfile::of_tree(&b), &costs);
+            let exact = edit_script(&a, &b).0;
+            let bound = bound(&a, &b);
             assert!(
                 bound <= exact,
-                "inadmissible bound {bound} > exact {exact} (case {case}, costs {costs:?})"
+                "inadmissible bound {bound} > exact {exact} (case {case})"
             );
         }
     }
@@ -203,74 +152,41 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x1003);
         for _ in 0..100 {
             let a = random_tree(&mut rng, 20);
-            let p = TreeProfile::of_tree(&a);
-            assert_eq!(lower_bound(&p, &p, &EditCosts::default()), 0);
-            assert_eq!(lower_bound(&p, &p, &random_costs(&mut rng)), 0);
+            assert_eq!(bound(&a, &a), 0);
         }
     }
 
     #[test]
     fn bound_is_exact_on_disjoint_label_bags() {
-        // a(a,a) vs b(b): no shared labels, so the histogram bound equals
-        // the true distance (relabel min(n,m), then delete the surplus).
-        let mut a = Tree::new("a".to_owned());
-        let r = a.root();
-        a.append_child(r, "a".to_owned());
-        a.append_child(r, "a".to_owned());
-        let mut b = Tree::new("b".to_owned());
-        b.append_child(b.root(), "b".to_owned());
-        let costs = EditCosts::default();
-        let exact = edit_distance(&a, &b, &costs);
-        let bound = lower_bound(&TreeProfile::of_tree(&a), &TreeProfile::of_tree(&b), &costs);
-        assert_eq!(bound, exact);
-        assert_eq!(bound, 3); // 2 relabels + 1 delete
+        // No shared labels, so the histogram bound equals the true
+        // distance (relabel min(n,m), then delete the surplus).
+        let (a, b) = (tree("a(a,a)"), tree("b(b)"));
+        assert_eq!(bound(&a, &b), edit_script(&a, &b).0);
+        assert_eq!(bound(&a, &b), 3); // 2 relabels + 1 delete
     }
 
     #[test]
     fn size_deficit_respects_directional_costs() {
-        // a → a(b,c): two forced inserts at insert cost.
-        let a = Tree::new("a".to_owned());
-        let mut b = Tree::new("a".to_owned());
-        b.append_child(b.root(), "b".to_owned());
-        b.append_child(b.root(), "c".to_owned());
-        let costs = EditCosts {
-            insert: 7,
-            delete: 1,
-            relabel: 1,
-        };
-        let bound = lower_bound(&TreeProfile::of_tree(&a), &TreeProfile::of_tree(&b), &costs);
-        assert_eq!(bound, 14);
-        assert_eq!(edit_distance(&a, &b, &costs), 14);
+        // a → a(b,c): two forced inserts.
+        let (a, b) = (tree("a"), tree("a(b,c)"));
+        assert_eq!(bound(&a, &b), 2);
+        assert_eq!(edit_script(&a, &b).0, 2);
     }
 
     #[test]
     fn depth_bound_fires_on_chains() {
         // Flat a(b,b,b) vs chain a(b(b(b))): histograms agree, but the
         // depth differs by 2 — the structural bounds must see it.
-        let mut flat = Tree::new("a".to_owned());
-        let r = flat.root();
-        for _ in 0..3 {
-            flat.append_child(r, "b".to_owned());
-        }
-        let mut chain = Tree::new("a".to_owned());
-        let mut at = chain.root();
-        for _ in 0..3 {
-            at = chain.append_child(at, "b".to_owned());
-        }
-        let costs = EditCosts::default();
-        let bound = lower_bound(
-            &TreeProfile::of_tree(&flat),
-            &TreeProfile::of_tree(&chain),
-            &costs,
-        );
+        let (flat, chain) = (tree("a(b,b,b)"), tree("a(b(b(b)))"));
+        let bound = bound(&flat, &chain);
         assert!(bound >= 2, "depth bound missed: {bound}");
-        assert!(bound <= edit_distance(&flat, &chain, &costs));
+        assert!(bound <= edit_script(&flat, &chain).0);
     }
 
     #[test]
     fn profile_counts_are_correct() {
         let doc = webre_xml::parse_xml("<r><x>text</x><y/></r>").unwrap();
-        let p = TreeProfile::of_doc(&doc);
+        let p = TreeProfile::of_tree(&label_tree(&doc));
         assert_eq!(p.size, 4); // r, x, #PCDATA, y
         assert_eq!(p.leaves, 2); // #PCDATA, y
         assert_eq!(p.depth, 3); // r > x > #PCDATA

@@ -10,30 +10,30 @@
 //! reasonable against a majority schema — a DataGuide or lower-bound schema
 //! would not suffice.
 //!
-//! * [`zhang_shasha`] — the classical ordered tree-edit distance (insert,
-//!   delete, relabel; Zhang & Shasha 1989);
-//! * [`edit_script`] — optimal edit-script extraction (match / relabel /
-//!   delete / insert per node) by backtracking the same dynamic program;
-//! * [`mapper`] — the schema-guided transformation that edits a document
+//! * [`edit_script`](mod@edit_script) — the classical unit-cost ordered tree-edit distance
+//!   (insert, delete, relabel; Zhang & Shasha 1989) and the optimal edit
+//!   script (match / relabel / delete / insert per node) backtracked from
+//!   the same dynamic program;
+//! * `mapper` — the schema-guided transformation that edits a document
 //!   into DTD conformance (relocating, demoting, inserting and reordering
-//!   elements) and reports the edit cost;
+//!   elements) and counts each kind of edit;
 //! * [`filter`] — admissible lower bounds on the edit distance (label
 //!   histogram + leaf/depth invariants) cheap enough to run on every
 //!   document;
-//! * [`planner`] — the tiered planner (conformant / rejected / exact)
-//!   that short-circuits the quadratic dynamic program whenever the
-//!   filter already decides the outcome, plus the shared JSON rendering
-//!   used by `POST /map`, `webre map --json` and the `map-vs-batch`
-//!   oracle.
+//! * [`planner`] — the one entry point, [`MapPlanner::plan`]: the tiered
+//!   planner (conformant / rejected / exact) that runs the transform and
+//!   short-circuits the quadratic dynamic program whenever the filter
+//!   already decides the outcome, plus the shared JSON rendering used by
+//!   `POST /map`, `webre map --json` and the `map-vs-batch` oracle.
+//!
+//! The reference the edit-script DP is tested against lives on the check
+//! side, as `webre_check::reference::ref_tree_distance`.
 
 pub mod edit_script;
 pub mod filter;
-pub mod mapper;
+mod mapper;
 pub mod planner;
-pub mod zhang_shasha;
 
 pub use edit_script::{edit_script, EditOp};
-pub use filter::{lower_bound, lower_bound_docs, TreeProfile};
-pub use mapper::{map_to_dtd, MapOutcome};
+pub use filter::{lower_bound, TreeProfile};
 pub use planner::{canonical_sort, render_json, MapPlanner, MapTier, PlannedMap};
-pub use zhang_shasha::{edit_distance, edit_distance_docs, EditCosts};

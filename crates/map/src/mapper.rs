@@ -13,56 +13,19 @@
 //! 3. **Complete**: required elements (plain names and `+` groups in the
 //!    content model) that are missing are inserted as empty elements.
 //!
-//! The outcome records the number of each edit plus the Zhang–Shasha
-//! distance between the original and mapped documents, which is the cost
-//! the paper's Document Mapping Component reports.
+//! The transform records the number of each edit; [`crate::planner`]
+//! adds the tree-edit cost between the original and mapped documents,
+//! which is the cost the paper's Document Mapping Component reports.
 
-use crate::zhang_shasha::{edit_distance_docs, EditCosts};
 use webre_schema::MajoritySchema;
 use webre_tree::NodeId;
 use webre_xml::validate::conforms;
 use webre_xml::{ContentExpr, Dtd, XmlDocument, XmlNode};
 
-/// Statistics and result of one mapping run.
-#[derive(Clone, Debug)]
-pub struct MapOutcome {
-    /// The mapped document.
-    pub document: XmlDocument,
-    /// Elements demoted (dissolved into their parent).
-    pub demoted: u32,
-    /// Intermediate schema elements inserted above misplaced children.
-    pub wrapped: u32,
-    /// Missing required elements inserted.
-    pub inserted: u32,
-    /// Surplus same-label siblings merged into their first occurrence.
-    pub merged: u32,
-    /// Parents whose children were reordered.
-    pub reordered: u32,
-    /// Tree-edit distance between input and output structures.
-    pub edit_distance: u32,
-    /// Whether the result conforms to the DTD.
-    pub conforms: bool,
-}
-
-/// Maps `doc` onto the majority schema/DTD.
-pub fn map_to_dtd(doc: &XmlDocument, schema: &MajoritySchema, dtd: &Dtd) -> MapOutcome {
-    let (out, stats, conforms) = transform(doc, schema, dtd);
-    let edit_distance = edit_distance_docs(doc, &out, &EditCosts::default());
-    MapOutcome {
-        document: out,
-        demoted: stats.demoted,
-        wrapped: stats.wrapped,
-        inserted: stats.inserted,
-        merged: stats.merged,
-        reordered: stats.reordered,
-        edit_distance,
-        conforms,
-    }
-}
-
-/// The structural transform alone — everything [`map_to_dtd`] does except
-/// the quadratic edit-distance computation. The tiered planner uses this
-/// so its filter tiers can skip the dynamic program entirely.
+/// Maps `doc` onto the majority schema/DTD: returns the mapped document,
+/// the edit counts and whether the result conforms. The tree-edit cost is
+/// left to [`crate::MapPlanner`], whose filter tiers can skip the
+/// quadratic dynamic program entirely.
 pub(crate) fn transform(
     doc: &XmlDocument,
     schema: &MajoritySchema,
@@ -351,8 +314,13 @@ fn required_names(model: &ContentExpr) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MapPlanner, PlannedMap};
     use webre_schema::{derive_dtd, extract_paths, DtdConfig, FrequentPathMiner};
     use webre_xml::{parse_xml, to_xml};
+
+    fn map(doc: &XmlDocument, schema: &MajoritySchema, dtd: &Dtd) -> PlannedMap {
+        MapPlanner::default().plan(doc, schema, dtd)
+    }
 
     /// Mines a schema + DTD from a small conforming corpus.
     fn schema_and_dtd(xmls: &[&str]) -> (MajoritySchema, Dtd) {
@@ -386,9 +354,9 @@ mod tests {
             "<resume><contact/><education><institution/><degree/></education></resume>",
         )
         .unwrap();
-        let outcome = map_to_dtd(&doc, &schema, &dtd);
+        let outcome = map(&doc, &schema, &dtd);
         assert!(outcome.conforms);
-        assert_eq!(outcome.edit_distance, 0);
+        assert_eq!(outcome.cost, Some(0));
         assert_eq!(to_xml(&outcome.document), to_xml(&doc));
     }
 
@@ -397,7 +365,7 @@ mod tests {
         let (schema, dtd) = standard();
         // degree directly under resume: must move under education.
         let doc = parse_xml("<resume><contact/><degree/></resume>").unwrap();
-        let outcome = map_to_dtd(&doc, &schema, &dtd);
+        let outcome = map(&doc, &schema, &dtd);
         assert!(outcome.conforms, "{}", to_xml(&outcome.document));
         assert!(outcome.wrapped >= 1);
         let xml = to_xml(&outcome.document);
@@ -413,7 +381,7 @@ mod tests {
             r#"<resume><contact/><bogus val="keep me"><education><institution/><degree/></education></bogus></resume>"#,
         )
         .unwrap();
-        let outcome = map_to_dtd(&doc, &schema, &dtd);
+        let outcome = map(&doc, &schema, &dtd);
         assert!(outcome.conforms, "{}", to_xml(&outcome.document));
         assert!(outcome.demoted >= 1);
         assert_eq!(
@@ -426,7 +394,7 @@ mod tests {
     fn missing_required_elements_are_inserted() {
         let (schema, dtd) = standard();
         let doc = parse_xml("<resume><contact/></resume>").unwrap();
-        let outcome = map_to_dtd(&doc, &schema, &dtd);
+        let outcome = map(&doc, &schema, &dtd);
         assert!(outcome.conforms, "{}", to_xml(&outcome.document));
         assert!(outcome.inserted >= 1);
         assert!(to_xml(&outcome.document).contains("<education>"));
@@ -439,7 +407,7 @@ mod tests {
             "<resume><education><degree/><institution/></education><contact/></resume>",
         )
         .unwrap();
-        let outcome = map_to_dtd(&doc, &schema, &dtd);
+        let outcome = map(&doc, &schema, &dtd);
         assert!(outcome.conforms, "{}", to_xml(&outcome.document));
         assert!(outcome.reordered >= 1);
         let xml = to_xml(&outcome.document);
@@ -453,7 +421,7 @@ mod tests {
         let (schema, dtd) = standard();
         let doc = parse_xml("<cv><contact/><education><institution/><degree/></education></cv>")
             .unwrap();
-        let outcome = map_to_dtd(&doc, &schema, &dtd);
+        let outcome = map(&doc, &schema, &dtd);
         assert!(outcome.conforms);
         assert_eq!(outcome.document.root_name(), "resume");
     }
@@ -462,9 +430,9 @@ mod tests {
     fn edit_distance_reflects_work_done() {
         let (schema, dtd) = standard();
         let doc = parse_xml("<resume><degree/><contact/></resume>").unwrap();
-        let outcome = map_to_dtd(&doc, &schema, &dtd);
+        let outcome = map(&doc, &schema, &dtd);
         assert!(outcome.conforms);
-        assert!(outcome.edit_distance > 0);
+        assert!(outcome.cost > Some(0));
     }
 
     #[test]
@@ -476,8 +444,8 @@ mod tests {
         let doc =
             parse_xml("<resume><education/><education/><education/><education/></resume>")
                 .unwrap();
-        let outcome = map_to_dtd(&doc, &schema, &dtd);
+        let outcome = map(&doc, &schema, &dtd);
         assert!(outcome.conforms, "{}", dtd.to_dtd_string());
-        assert_eq!(outcome.edit_distance, 0);
+        assert_eq!(outcome.cost, Some(0));
     }
 }

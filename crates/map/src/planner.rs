@@ -1,7 +1,7 @@
 //! The tiered mapping planner: filter → exact per document.
 //!
 //! [`MapPlanner::plan`] always runs the cheap schema-guided transform
-//! ([`crate::mapper`]'s restructure/reorder/complete passes — linear-ish in
+//! (`mapper`'s restructure/reorder/complete passes — linear-ish in
 //! the document), then decides how much of the *quadratic* Zhang–Shasha
 //! machinery the pair actually needs:
 //!
@@ -28,11 +28,11 @@
 use crate::edit_script::{edit_script, EditOp};
 use crate::filter::{lower_bound, TreeProfile};
 use crate::mapper::transform;
-use crate::zhang_shasha::{label_tree, EditCosts};
 use webre_obs::{count, counter, span, stage};
 use webre_schema::MajoritySchema;
 use webre_substrate::json::Json;
-use webre_xml::{to_xml, Dtd, XmlDocument};
+use webre_tree::Tree;
+use webre_xml::{to_xml, Dtd, XmlDocument, XmlNode};
 
 /// Which tier resolved a planned mapping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,11 +83,10 @@ pub struct PlannedMap {
     pub script: Option<Vec<EditOp>>,
 }
 
-/// Plans mappings: filter tier first, exact tier only when needed.
+/// Plans mappings: filter tier first, exact tier only when needed. Every
+/// edit operation costs 1.
 #[derive(Clone, Copy, Debug)]
 pub struct MapPlanner {
-    /// Edit-operation costs for bounds, distances and scripts.
-    pub costs: EditCosts,
     /// Reject budget: documents whose edit cost provably exceeds this are
     /// rejected without running the exact tier. `None` accepts everything.
     pub budget: Option<u32>,
@@ -100,7 +99,6 @@ pub struct MapPlanner {
 impl Default for MapPlanner {
     fn default() -> Self {
         MapPlanner {
-            costs: EditCosts::default(),
             budget: None,
             filter: true,
         }
@@ -123,11 +121,7 @@ impl MapPlanner {
         let (source, target, bound, identical) = span(stage::MAP_FILTER, || {
             let source = label_tree(doc);
             let target = label_tree(&mapped);
-            let bound = lower_bound(
-                &TreeProfile::of_tree(&source),
-                &TreeProfile::of_tree(&target),
-                &self.costs,
-            );
+            let bound = lower_bound(&TreeProfile::of_tree(&source), &TreeProfile::of_tree(&target));
             let identical = source.subtree_eq(source.root(), &target, target.root());
             (source, target, bound, identical)
         });
@@ -171,9 +165,7 @@ impl MapPlanner {
             }
         }
 
-        let (cost, mut script) = span(stage::MAP_EXACT, || {
-            edit_script(&source, &target, &self.costs)
-        });
+        let (cost, mut script) = span(stage::MAP_EXACT, || edit_script(&source, &target));
         if self.budget.is_some_and(|budget| cost > budget) {
             // Same rejection the filter would have made with a tighter
             // bound: report the bound only, never the cost/script, so the
@@ -197,6 +189,15 @@ impl MapPlanner {
         planned.script = Some(script);
         planned
     }
+}
+
+/// Converts an XML document to the label tree the filter and the edit
+/// script compare: element names, with text nodes as `#PCDATA` leaves.
+pub fn label_tree(doc: &XmlDocument) -> Tree<String> {
+    doc.tree.map(|n| match n {
+        XmlNode::Element { name, .. } => name.clone(),
+        XmlNode::Text(_) => "#PCDATA".to_owned(),
+    })
 }
 
 /// Canonical edit-script order: match/relabel pairs by source index, then
@@ -347,13 +348,11 @@ mod tests {
                 let with = MapPlanner {
                     filter: true,
                     budget,
-                    ..Default::default()
                 }
                 .plan(&doc, &schema, &dtd);
                 let without = MapPlanner {
                     filter: false,
                     budget,
-                    ..Default::default()
                 }
                 .plan(&doc, &schema, &dtd);
                 assert_eq!(
@@ -390,20 +389,26 @@ mod tests {
         let (schema, dtd) = standard();
         let doc = parse_xml("<resume><contact/><degree/></resume>").unwrap();
         let planned = MapPlanner::default().plan(&doc, &schema, &dtd);
-        let outcome = crate::map_to_dtd(&doc, &schema, &dtd);
-        assert_eq!(planned.cost, Some(outcome.edit_distance));
-        assert_eq!(to_xml(&planned.document), to_xml(&outcome.document));
-        assert_eq!(planned.conforms, outcome.conforms);
+        let (mapped, _, conforms) = transform(&doc, &schema, &dtd);
+        let distance = edit_script(&label_tree(&doc), &label_tree(&mapped)).0;
+        assert_eq!(planned.tier, MapTier::Exact);
+        assert_eq!(planned.cost, Some(distance));
+        assert_eq!(to_xml(&planned.document), to_xml(&mapped));
+        assert_eq!(planned.conforms, conforms);
         // The script's paid operations sum to the cost.
         let script = planned.script.unwrap();
-        let paid: u32 = script
+        let paid = script
             .iter()
-            .map(|op| match op {
-                EditOp::Match { .. } => 0,
-                _ => 1,
-            })
-            .sum();
-        assert_eq!(paid, outcome.edit_distance);
+            .filter(|op| !matches!(op, EditOp::Match { .. }))
+            .count();
+        assert_eq!(paid as u32, distance);
+    }
+
+    #[test]
+    fn docs_distance_uses_labels() {
+        let a = parse_xml("<r><x/><y/></r>").unwrap();
+        let b = parse_xml("<r><x/></r>").unwrap();
+        assert_eq!(edit_script(&label_tree(&a), &label_tree(&b)).0, 1);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example schema_mapping`
 
+use webre::map::MapPlanner;
 use webre::Pipeline;
 use webre_corpus::CorpusGenerator;
 use webre_schema::FrequentPathMiner;
@@ -27,15 +28,17 @@ fn main() {
     let mut total_distance = 0u64;
     let mut example_shown = false;
 
+    let planner = MapPlanner::default();
     for doc in &docs {
         if webre::xml::validate::conforms(doc, &discovery.dtd) {
             already += 1;
             continue;
         }
-        let outcome = pipeline.map_document(doc, &discovery);
+        let outcome = pipeline.plan_document(doc, &discovery, &planner);
         if outcome.conforms {
+            let distance = outcome.cost.expect("an unbudgeted plan always has a cost");
             fixed += 1;
-            total_distance += u64::from(outcome.edit_distance);
+            total_distance += u64::from(distance);
             if !example_shown {
                 example_shown = true;
                 println!("== example mapping ==");
@@ -49,7 +52,7 @@ fn main() {
                     outcome.inserted,
                     outcome.merged,
                     outcome.reordered,
-                    outcome.edit_distance
+                    distance
                 );
                 println!();
             }

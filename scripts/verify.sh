@@ -40,6 +40,11 @@ echo "==> cargo clippy --workspace (default lint levels: deny-level lints fail)"
 # (the default `deny` group, correctness bugs) does.
 cargo clippy --workspace --offline -q
 
+echo "==> cargo bench --workspace --no-run (bench targets compile)"
+# Neither `cargo test` nor `cargo clippy --workspace` builds bench
+# targets, so a bench calling a removed API would otherwise rot unseen.
+cargo bench --workspace --no-run --offline -q
+
 echo "==> cargo test -q"
 cargo test -q
 

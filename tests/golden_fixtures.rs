@@ -111,8 +111,9 @@ fn fixture_documents_conform_to_discovered_dtd() {
     let discovery = pipeline.discover_schema(&docs).expect("schema discovered");
     // Mapping each fixture onto the discovered DTD must succeed and yield a
     // valid document (the end-to-end contract of Section 3.4).
+    let planner = webre::map::MapPlanner::default();
     for (stem, doc) in FIXTURES.iter().zip(&docs) {
-        let outcome = pipeline.map_document(doc, &discovery);
+        let outcome = pipeline.plan_document(doc, &discovery, &planner);
         let errors = webre::xml::validate::validate(&outcome.document, &discovery.dtd);
         assert!(
             errors.is_empty(),

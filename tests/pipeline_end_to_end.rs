@@ -135,13 +135,15 @@ fn mapping_is_idempotent() {
     let pipeline = paper_pipeline();
     let docs = pipeline.convert_corpus(&htmls);
     let discovery = pipeline.discover_schema(&docs).unwrap();
+    let planner = webre::map::MapPlanner::default();
     for doc in docs.iter().take(5) {
-        let once = pipeline.map_document(doc, &discovery);
+        let once = pipeline.plan_document(doc, &discovery, &planner);
         if !once.conforms {
             continue;
         }
-        let twice = pipeline.map_document(&once.document, &discovery);
-        assert_eq!(twice.edit_distance, 0, "second mapping changed the doc");
+        let twice = pipeline.plan_document(&once.document, &discovery, &planner);
+        assert_eq!(twice.tier, webre::map::MapTier::Conformant);
+        assert_eq!(twice.cost, Some(0), "second mapping changed the doc");
         assert!(twice.conforms);
     }
 }
