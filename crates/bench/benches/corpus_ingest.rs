@@ -44,7 +44,7 @@ fn ingest(index: &mut CorpusIndex, xml: &str) -> Vec<u8> {
     let doc = webre_xml::parse_xml(xml).expect("converted XML parses");
     let paths = extract_paths(&doc);
     let record = doc_to_record(&paths);
-    index.push(paths);
+    index.push(&paths);
     record
 }
 
@@ -80,14 +80,14 @@ fn bench_ingest(c: &mut Criterion) {
     for ((class, _), records) in classes.iter().zip(&records) {
         let mut index = CorpusIndex::new();
         for record in records {
-            index.push(doc_from_record(record).expect("records decode"));
+            index.push(&doc_from_record(record).expect("records decode"));
         }
         let mut next = 0;
         group.bench_function(*class, |b| {
             b.iter(|| {
                 next = (next + 1) % records.len();
                 let doc = doc_from_record(&records[next]).expect("records decode");
-                index.push(doc);
+                index.push(&doc);
                 std::hint::black_box(index.len())
             })
         });

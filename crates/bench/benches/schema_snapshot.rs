@@ -22,7 +22,7 @@ fn live_corpus(n: usize) -> ShardedCorpus {
     for i in 0..n {
         let (doc, _) = converter.convert_str(&gen.generate_one(i).html);
         let hash = webre_substrate::wal::checksum(webre_xml::to_xml(&doc).as_bytes());
-        corpus.push(hash, extract_paths(&doc));
+        corpus.push(hash, &extract_paths(&doc));
     }
     corpus
 }
@@ -42,12 +42,7 @@ fn bench_snapshot(c: &mut Criterion) {
                 let outcome = miner
                     .mine_view(corpus)
                     .expect("resume corpus mines a schema");
-                std::hint::black_box(derive_dtd_from(
-                    &outcome.schema,
-                    corpus,
-                    || corpus.docs(),
-                    &config,
-                ))
+                std::hint::black_box(derive_dtd_from(&outcome.schema, corpus, &config))
             })
         });
     }

@@ -839,9 +839,13 @@ pub fn trace_noop(rng: &mut StdRng) -> Result<(), String> {
 /// — under four configurations: the default, `{rep_threshold: 2,
 /// optional_below: 0.75}`, and the two threshold edges `rep_threshold: 0`
 /// (every document counts as repeating, present or not) and
-/// `rep_threshold: 1`. Group patterns stay off: group detection is seeded
-/// by the first observed child sequence, so it is order-sensitive by
-/// design and excluded from the identity.
+/// `rep_threshold: 1`. The reference scan does not model group patterns:
+/// group detection is seeded by the first observed child sequence, so it
+/// is order-sensitive by design. With `group_patterns: true`, the corpus
+/// index and the sharded union must instead derive what batch
+/// [`webre_schema::derive_dtd`] derives over the same documents in the
+/// order the view keeps them, on the random corpus and on a second one
+/// of repeated label groups.
 pub fn shard_merge_vs_batch(rng: &mut StdRng) -> Result<(), String> {
     use webre_substrate::json::{FromJson, Json, ToJson};
 
@@ -859,9 +863,10 @@ pub fn shard_merge_vs_batch(rng: &mut StdRng) -> Result<(), String> {
 
     // Route documents by real content hash, as the serving layer does.
     let mut sharded = webre_schema::ShardedCorpus::new(shard_count);
+    let mut shard_of = Vec::with_capacity(docs.len());
     for (doc, paths) in docs.iter().zip(&corpus) {
         let hash = webre_substrate::wal::checksum(webre_xml::to_xml(doc).as_bytes());
-        sharded.push(hash, paths.clone());
+        shard_of.push(sharded.push(hash, paths));
     }
 
     let merged = webre_schema::PathTable::merged(
@@ -935,7 +940,7 @@ pub fn shard_merge_vs_batch(rng: &mut StdRng) -> Result<(), String> {
     // DTD derivation: every aggregate source against the reference scan.
     if let Some(b) = &batch {
         use webre_schema::{derive_dtd, derive_dtd_from, CorpusIndex, DtdConfig};
-        let index = CorpusIndex::from_docs(corpus.iter().cloned());
+        let index = CorpusIndex::from_docs(&corpus);
         for config in [
             DtdConfig::default(),
             DtdConfig {
@@ -955,18 +960,12 @@ pub fn shard_merge_vs_batch(rng: &mut StdRng) -> Result<(), String> {
             let expected = ref_derive_dtd(&b.schema, &corpus, &config).to_dtd_string();
             let sources = [
                 ("batch slice", derive_dtd(&b.schema, &corpus, &config)),
-                (
-                    "corpus index",
-                    derive_dtd_from(&b.schema, &index, || index.docs(), &config),
-                ),
+                ("corpus index", derive_dtd_from(&b.schema, &index, &config)),
                 (
                     "sharded union",
-                    derive_dtd_from(&b.schema, &sharded, || sharded.docs(), &config),
+                    derive_dtd_from(&b.schema, &sharded, &config),
                 ),
-                (
-                    "merged table",
-                    derive_dtd_from(&b.schema, &merged, std::iter::empty, &config),
-                ),
+                ("merged table", derive_dtd_from(&b.schema, &merged, &config)),
             ];
             for (source, dtd) in sources {
                 let derived = dtd.to_dtd_string();
@@ -983,8 +982,125 @@ pub fn shard_merge_vs_batch(rng: &mut StdRng) -> Result<(), String> {
                 }
             }
         }
+        group_patterns_agree(&b.schema, &corpus, &sharded, &shard_of, &context)?;
+    }
+
+    // A corpus of repeated label groups, so that group detection has
+    // patterns to find: the random corpus above seldom has one.
+    let docs = random_group_corpus(rng);
+    let corpus: Vec<DocPaths> = docs.iter().map(extract_paths).collect();
+    let context = || {
+        let xmls: Vec<String> = docs.iter().map(webre_xml::to_xml).collect();
+        format!(
+            "group corpus, shards={shard_count} sup={sup} ratio={ratio} max_len={max_len:?}\n  corpus: {}",
+            xmls.join(" | ")
+        )
+    };
+    let mut sharded = webre_schema::ShardedCorpus::new(shard_count);
+    let shard_of: Vec<usize> = docs
+        .iter()
+        .zip(&corpus)
+        .map(|(doc, paths)| {
+            sharded.push(
+                webre_substrate::wal::checksum(webre_xml::to_xml(doc).as_bytes()),
+                paths,
+            )
+        })
+        .collect();
+    if let Some(b) = miner.mine(&corpus) {
+        group_patterns_agree(&b.schema, &corpus, &sharded, &shard_of, &context)?;
     }
     Ok(())
+}
+
+/// With `group_patterns: true`, the corpus index over `corpus` and
+/// `sharded` (where document `i` went to shard `shard_of[i]`) derive what
+/// batch [`webre_schema::derive_dtd`] derives over the same documents in
+/// the order each view keeps them: arrival order for the index, shard
+/// order then arrival order for the union. The live views read child
+/// sequences from their stored shapes, batch from the extracted
+/// documents.
+fn group_patterns_agree(
+    schema: &webre_schema::MajoritySchema,
+    corpus: &[DocPaths],
+    sharded: &webre_schema::ShardedCorpus,
+    shard_of: &[usize],
+    context: &dyn Fn() -> String,
+) -> Result<(), String> {
+    use webre_schema::{derive_dtd, derive_dtd_from, CorpusIndex, DtdConfig};
+    let config = DtdConfig {
+        group_patterns: true,
+        ..DtdConfig::default()
+    };
+    let shard_order: Vec<DocPaths> = (0..sharded.shard_count())
+        .flat_map(|shard| {
+            corpus
+                .iter()
+                .zip(shard_of)
+                .filter(move |(_, s)| **s == shard)
+                .map(|(doc, _)| doc.clone())
+        })
+        .collect();
+    let index = CorpusIndex::from_docs(corpus);
+    let views = [
+        (
+            "corpus index",
+            derive_dtd_from(schema, &index, &config),
+            derive_dtd(schema, corpus, &config),
+        ),
+        (
+            "sharded union",
+            derive_dtd_from(schema, sharded, &config),
+            derive_dtd(schema, &shard_order, &config),
+        ),
+    ];
+    for (source, dtd, batch) in views {
+        let (derived, expected) = (dtd.to_dtd_string(), batch.to_dtd_string());
+        if derived != expected {
+            return Err(format!(
+                "with group patterns, the DTD derived from the {source} diverged from batch \
+                 derivation over the same documents in the same order\n  {}\n  batch: {}\n  \
+                 {source}: {}",
+                context(),
+                snippet(&expected),
+                snippet(&derived)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Two to six documents under root `r`, each repeating one group of two
+/// or three distinct labels one to three times, the group's elements
+/// sometimes nesting a small random subtree and the document sometimes
+/// ending in one extra random child.
+fn random_group_corpus(rng: &mut StdRng) -> Vec<webre_xml::XmlDocument> {
+    const LABELS: &[&str] = &["a", "b", "c", "d", "e"];
+    let mut labels = LABELS.to_vec();
+    labels.shuffle(rng);
+    labels.truncate(rng.gen_range(2..=3usize));
+    (0..rng.gen_range(2..=6usize))
+        .map(|_| {
+            let mut doc = webre_xml::XmlDocument::new("r");
+            let root = doc.root();
+            for _ in 0..rng.gen_range(1..=3u32) {
+                for label in &labels {
+                    let child = doc
+                        .tree
+                        .append_child(root, webre_xml::XmlNode::element(*label));
+                    if rng.gen_bool(0.2) {
+                        grow(rng, &mut doc, child, 1, LABELS);
+                    }
+                }
+            }
+            if rng.gen_bool(0.3) {
+                let label = *LABELS.choose(rng).expect("non-empty");
+                doc.tree
+                    .append_child(root, webre_xml::XmlNode::element(label));
+            }
+            doc
+        })
+        .collect()
 }
 
 /// Oracle 14 — served mapping ≡ batch planning: `POST /map` answered by

@@ -379,8 +379,9 @@ pub struct RefDocPaths {
 
 impl RefDocPaths {
     /// The four-map view of a production table, keeping what the
-    /// reference walk records: a multiplicity or position total only
-    /// when non-zero, child sequences only when there are some.
+    /// reference walk records: a multiplicity or a position sum and
+    /// count only when not zero, child sequences only when there are
+    /// some.
     pub fn of(doc: &DocPaths) -> Self {
         let mut out = RefDocPaths {
             root_label: doc.root_label.clone(),
@@ -393,7 +394,7 @@ impl RefDocPaths {
             if entry.multiplicity > 0 {
                 out.multiplicity.insert(path.clone(), entry.multiplicity);
             }
-            if entry.pos_count > 0 {
+            if (entry.pos_sum, entry.pos_count) != (0.0, 0) {
                 out.positions
                     .insert(path.clone(), (entry.pos_sum, entry.pos_count));
             }

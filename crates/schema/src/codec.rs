@@ -13,10 +13,12 @@
 //! document's path order: `{"p": path, "m": multiplicity, "s": position
 //! sum, "n": position count, "q": [child sequence, ...]}`, `"q"` present
 //! only for a path with child sequences, each child named by its label.
-//! [`doc_to_record`] writes these bytes straight from the entries through
-//! the substrate string and number writers, without building a `Json`
-//! tree; `webre-check` keeps the tree-building encoder as its reference,
-//! and the two agree byte for byte.
+//! One encoder writes these bytes from a document's flat shape (see
+//! `shape.rs`) through the substrate string and number writers,
+//! without building a `Json` tree: [`encode`] for a document a corpus
+//! stores, and [`doc_to_record`] for a `DocPaths`, whose shape it builds
+//! over labels of its own. `webre-check` keeps the tree-building encoder
+//! as its reference, and they agree byte for byte.
 //!
 //! [`doc_from_record`] is the mirror: it reads the bytes once with the
 //! substrate pull [`Reader`], building each entry's path once and keeping
@@ -35,6 +37,7 @@
 //! listing the documents per recorded multiplicity in ascending `num`.
 
 use crate::paths::{DocPaths, PathEntry};
+use crate::shape::{Shape, StoredDoc};
 use crate::sharded::{PathStats, PathTable};
 use std::borrow::Cow;
 use std::fmt;
@@ -87,31 +90,46 @@ fn write_labels<'a>(out: &mut String, labels: impl IntoIterator<Item = &'a str>)
     Ok(())
 }
 
-fn write_record(out: &mut String, doc: &DocPaths) -> fmt::Result {
+/// The one record encoder: writes `shape` with each label id named by
+/// `names`.
+fn write_record<N: AsRef<str>>(out: &mut String, shape: &Shape, names: &[N]) -> fmt::Result {
+    let name = |id: u32| names[id as usize].as_ref();
     out.push_str("{\"root\":");
-    write_string(out, &doc.root_label)?;
+    write_string(out, name(shape.root()))?;
     out.push_str(",\"nodes\":");
-    write_number(out, doc.node_count as f64)?;
+    write_number(out, shape.node_count() as f64)?;
     out.push_str(",\"paths\":[");
-    for (i, entry) in doc.entries().iter().enumerate() {
-        if i > 0 {
+    let entries = shape.entries();
+    let mut path = Vec::new();
+    let mut first = true;
+    for (i, entry) in entries.iter().enumerate() {
+        shape.descend(&mut path, i);
+        if !entry.listed() {
+            continue;
+        }
+        if !first {
             out.push(',');
         }
+        first = false;
         out.push_str("{\"p\":");
-        write_labels(out, entry.path.iter().map(String::as_str))?;
+        write_labels(out, path.iter().map(|&p| name(entries[p as usize].label())))?;
         out.push_str(",\"m\":");
         write_number(out, f64::from(entry.multiplicity))?;
         out.push_str(",\"s\":");
         write_number(out, entry.pos_sum)?;
         out.push_str(",\"n\":");
         write_number(out, entry.pos_count as f64)?;
-        if !entry.child_sequences.is_empty() {
+        let mut sequences = shape.sequences(i).peekable();
+        if sequences.peek().is_some() {
             out.push_str(",\"q\":[");
-            for (j, sequence) in entry.child_sequences.iter().enumerate() {
+            for (j, sequence) in sequences.enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                write_labels(out, sequence.iter().map(|&child| doc.label_at(child)))?;
+                write_labels(
+                    out,
+                    sequence.iter().map(|&c| name(entries[c as usize].label())),
+                )?;
             }
             out.push(']');
         }
@@ -191,10 +209,22 @@ impl FromJson for PathTable {
     }
 }
 
-/// Serializes a document to its canonical WAL payload bytes.
+/// Serializes a document to its canonical WAL payload bytes: the
+/// [`encode`]ing of its shape over labels of its own.
 pub fn doc_to_record(doc: &DocPaths) -> Vec<u8> {
-    let mut out = String::with_capacity(64 + 96 * doc.entries().len());
-    write_record(&mut out, doc).expect("writing to a String cannot fail");
+    let (shape, names) = Shape::local(doc);
+    record_bytes(&shape, &names)
+}
+
+/// Serializes a stored document to its canonical WAL payload bytes, the
+/// bytes [`doc_to_record`] writes for the document it was stored from.
+pub fn encode(doc: StoredDoc<'_>) -> Vec<u8> {
+    record_bytes(doc.shape, doc.labels.names())
+}
+
+fn record_bytes<N: AsRef<str>>(shape: &Shape, names: &[N]) -> Vec<u8> {
+    let mut out = String::with_capacity(64 + 96 * shape.entries().len());
+    write_record(&mut out, shape, names).expect("writing to a String cannot fail");
     out.into_bytes()
 }
 

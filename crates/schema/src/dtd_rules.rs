@@ -33,7 +33,7 @@
 
 use crate::frequent::CorpusView;
 use crate::majority::MajoritySchema;
-use crate::paths::DocPaths;
+use crate::paths::{DocPaths, LabelPath};
 use crate::sharded::{PathStats, PathTable};
 use webre_xml::{ContentExpr, Dtd};
 
@@ -44,6 +44,14 @@ pub trait DtdView: CorpusView {
     /// The aggregate of `path` over every document of the view (all
     /// zero when no document contains it).
     fn path_stats(&self, path: &[String]) -> PathStats;
+
+    /// For each of `paths`, the child label sequences the view's
+    /// documents record at it, documents in the view's order: what the
+    /// group-pattern extension reads. A view that keeps no documents (a
+    /// [`PathTable`]) answers none.
+    fn child_sequences(&self, paths: &[LabelPath]) -> Vec<Vec<Vec<&str>>> {
+        vec![Vec::new(); paths.len()]
+    }
 }
 
 /// Thresholds for DTD derivation.
@@ -79,7 +87,7 @@ impl Default for DtdConfig {
 
 /// The smallest period of `seq`: the shortest prefix `g` with
 /// `seq = g^k`. Returns the period length.
-fn smallest_period(seq: &[String]) -> usize {
+fn smallest_period(seq: &[&str]) -> usize {
     'outer: for p in 1..=seq.len() {
         if !seq.len().is_multiple_of(p) {
             continue;
@@ -102,14 +110,14 @@ fn smallest_period(seq: &[String]) -> usize {
 /// * at least one sequence repeats the group more than once (otherwise the
 ///   plain per-element rules describe the node better).
 fn detect_group_pattern(
-    sequences: &[Vec<String>],
+    sequences: &[&Vec<&str>],
     allowed: &[String],
     mult_threshold: f64,
 ) -> Option<Vec<String>> {
     let first = sequences.iter().find(|s| !s.is_empty())?;
     let period = smallest_period(first);
-    let group: Vec<String> = first[..period].to_vec();
-    if group.len() < 2 || group.iter().any(|l| !allowed.contains(l)) {
+    let group = &first[..period];
+    if group.len() < 2 || group.iter().any(|l| !allowed.iter().any(|a| a == l)) {
         return None;
     }
     let mut matching = 0usize;
@@ -128,7 +136,7 @@ fn detect_group_pattern(
         }
     }
     (repeated && (matching as f64) > mult_threshold * sequences.len() as f64)
-        .then_some(group)
+        .then(|| group.iter().map(|&l| l.to_owned()).collect())
 }
 
 /// Per-child aggregation across every schema node carrying one label.
@@ -157,11 +165,13 @@ struct ChildAgg {
 /// context becomes optional (required for soundness: a document following
 /// the child-free context must still validate).
 ///
-/// Aggregates the corpus into one [`PathTable`] in a single pass, then
-/// runs [`derive_dtd_from`] over it.
+/// Aggregates the corpus into one [`PathTable`] in a single pass and
+/// derives from it as [`derive_dtd_from`] does, reading child sequences
+/// from the documents in slice order.
 pub fn derive_dtd(schema: &MajoritySchema, corpus: &[DocPaths], config: &DtdConfig) -> Dtd {
     webre_obs::span(webre_obs::stage::DERIVE_DTD, || {
-        derive_unified(schema, &PathTable::from_docs(corpus), || corpus, config)
+        let table = PathTable::from_docs(corpus);
+        derive_unified(schema, &table, |paths| sequences_in(corpus, paths), config)
     })
 }
 
@@ -170,35 +180,51 @@ pub fn derive_dtd(schema: &MajoritySchema, corpus: &[DocPaths], config: &DtdConf
 ///
 /// Every statistic the two rules consume is an associative aggregate
 /// over documents, so every view of the same document multiset derives
-/// the byte-identical DTD. `docs` is called only when
-/// [`DtdConfig::group_patterns`] is set: group detection seeds from the
-/// *first* non-empty child sequence, so it reads the documents in the
-/// order `docs` yields them and the derived DTD depends on that order. A
-/// view without documents (a [`PathTable`]) passes an empty iterator and
-/// gets the per-element rules.
+/// the byte-identical DTD. Only [`DtdConfig::group_patterns`] reads the
+/// documents, through [`DtdView::child_sequences`]: group detection
+/// seeds from the *first* non-empty child sequence, so the derived DTD
+/// depends on the order the view keeps its documents in. A view without
+/// documents (a [`PathTable`]) gets the per-element rules.
 ///
 /// The derivation runs under a `derive-dtd` span.
-pub fn derive_dtd_from<'a, D: IntoIterator<Item = &'a DocPaths>>(
+pub fn derive_dtd_from(
     schema: &MajoritySchema,
     view: &(impl DtdView + ?Sized),
-    docs: impl FnOnce() -> D,
     config: &DtdConfig,
 ) -> Dtd {
     webre_obs::span(webre_obs::stage::DERIVE_DTD, || {
-        derive_unified(schema, view, docs, config)
+        derive_unified(schema, view, |paths| view.child_sequences(paths), config)
     })
 }
 
-/// The derivation itself: one content model per label.
-fn derive_unified<'a, D: IntoIterator<Item = &'a DocPaths>>(
+/// The child label sequences `docs` record at each of `paths`, in slice
+/// order.
+fn sequences_in<'a>(docs: &'a [DocPaths], paths: &[LabelPath]) -> Vec<Vec<Vec<&'a str>>> {
+    paths
+        .iter()
+        .map(|path| {
+            docs.iter()
+                .filter_map(|doc| doc.entry(path).map(|entry| (doc, entry)))
+                .flat_map(|(doc, entry)| {
+                    entry
+                        .child_sequences
+                        .iter()
+                        .map(|sequence| sequence.iter().map(|&c| doc.label_at(c)).collect())
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The derivation itself: one content model per label. `sequences`
+/// answers [`DtdView::child_sequences`] for the group-pattern extension.
+fn derive_unified<'v>(
     schema: &MajoritySchema,
     view: &(impl DtdView + ?Sized),
-    docs: impl FnOnce() -> D,
+    sequences: impl Fn(&[LabelPath]) -> Vec<Vec<Vec<&'v str>>>,
     config: &DtdConfig,
 ) -> Dtd {
     let mut dtd = Dtd::new(schema.root_label());
-    let group_docs: Option<Vec<&DocPaths>> =
-        config.group_patterns.then(|| docs().into_iter().collect());
 
     // Group schema nodes by label, preserving first-seen (pre-order) order.
     let mut labels: Vec<String> = Vec::new();
@@ -217,9 +243,12 @@ fn derive_unified<'a, D: IntoIterator<Item = &'a DocPaths>>(
 
         // XTRACT-style extension: a repeating group pattern takes
         // precedence over the per-element ordering/repetition rules, but
-        // only when it holds across every context of the label.
-        if let Some(docs) = &group_docs {
-            if let Some(content) = group_pattern_content(schema, docs, nodes, config) {
+        // only when it holds across every context of the label. Only
+        // this label's sequences are held at a time.
+        if config.group_patterns {
+            let paths: Vec<LabelPath> = nodes.iter().map(|&id| schema.path_of(id)).collect();
+            let node_sequences = sequences(&paths);
+            if let Some(content) = group_pattern_content(schema, &node_sequences, nodes, config) {
                 dtd.declare(label, content);
                 continue;
             }
@@ -303,28 +332,24 @@ fn derive_unified<'a, D: IntoIterator<Item = &'a DocPaths>>(
 }
 
 /// Group-pattern content model for a label, if one group explains every
-/// context's sequences.
+/// context's sequences; `node_sequences[i]` are the sequences at
+/// `nodes[i]`.
 fn group_pattern_content(
     schema: &MajoritySchema,
-    docs: &[&DocPaths],
+    node_sequences: &[Vec<Vec<&str>>],
     nodes: &[webre_tree::NodeId],
     config: &DtdConfig,
 ) -> Option<ContentExpr> {
     let mut allowed: Vec<String> = Vec::new();
-    let mut sequences: Vec<Vec<String>> = Vec::new();
-    for &id in nodes {
+    let mut sequences: Vec<&Vec<&str>> = Vec::new();
+    for (&id, at_node) in nodes.iter().zip(node_sequences) {
         for c in schema.tree.children(id) {
             let l = schema.tree.value(c).label.clone();
             if !allowed.contains(&l) {
                 allowed.push(l);
             }
         }
-        let prefix = schema.path_of(id);
-        for doc in docs {
-            if let Some(entry) = doc.entry(&prefix) {
-                sequences.extend(doc.label_sequences(entry));
-            }
-        }
+        sequences.extend(at_node);
     }
     if sequences.is_empty() {
         return None;
@@ -464,13 +489,10 @@ mod tests {
 
     #[test]
     fn smallest_period_basics() {
-        let seq = |labels: &[&str]| -> Vec<String> {
-            labels.iter().map(|s| (*s).to_owned()).collect()
-        };
-        assert_eq!(smallest_period(&seq(&["a", "b", "a", "b"])), 2);
-        assert_eq!(smallest_period(&seq(&["a", "a", "a"])), 1);
-        assert_eq!(smallest_period(&seq(&["a", "b", "c"])), 3);
-        assert_eq!(smallest_period(&seq(&["a", "b", "a"])), 3);
+        assert_eq!(smallest_period(&["a", "b", "a", "b"]), 2);
+        assert_eq!(smallest_period(&["a", "a", "a"]), 1);
+        assert_eq!(smallest_period(&["a", "b", "c"]), 3);
+        assert_eq!(smallest_period(&["a", "b", "a"]), 3);
     }
 
     #[test]
@@ -491,6 +513,12 @@ mod tests {
         assert_eq!(
             dtd.elements.get("e").unwrap().to_string(),
             "<!ELEMENT e ((#PCDATA), (d, t)+)>"
+        );
+        // A live index reads the same sequences from its stored shapes.
+        let index = crate::CorpusIndex::from_docs(&docs);
+        assert_eq!(
+            derive_dtd_from(&schema, &index, &config).to_dtd_string(),
+            dtd.to_dtd_string()
         );
         // Validation accepts any repeat count.
         let doc = parse_xml("<r><e><d/><t/><d/><t/><d/><t/><d/><t/></e></r>").unwrap();
@@ -597,13 +625,13 @@ mod tests {
             let mut sharded = crate::ShardedCorpus::new(parts.len());
             for (shard, part) in parts.iter().enumerate() {
                 for doc in *part {
-                    sharded.push_to(shard, doc.clone());
+                    sharded.push_to(shard, doc);
                 }
             }
             let tables: Vec<PathTable> = parts.iter().map(|p| PathTable::from_docs(*p)).collect();
             let merged = PathTable::merged(&tables);
-            let by_table = derive_dtd_from(&schema, &merged, std::iter::empty, config);
-            let by_shards = derive_dtd_from(&schema, &sharded, || sharded.docs(), config);
+            let by_table = derive_dtd_from(&schema, &merged, config);
+            let by_shards = derive_dtd_from(&schema, &sharded, config);
             assert_eq!(by_table.to_dtd_string(), by_shards.to_dtd_string());
             by_shards.to_dtd_string()
         };

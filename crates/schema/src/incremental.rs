@@ -19,29 +19,31 @@
 //! Accreting a document is O(paths in that document); mining then runs
 //! with O(1) frequency lookups instead of O(n) scans, and DTD derivation
 //! reads O(1) aggregates per schema path, never the documents. The
-//! original `DocPaths` values are still retained, for the two consumers
-//! that need whole documents: the order-dependent group-pattern
-//! extension ([`crate::DtdConfig::group_patterns`], off by default) and
-//! WAL compaction, which rewrites each shard's log from
-//! [`CorpusIndex::docs`].
+//! documents themselves are still retained, for the two consumers that
+//! need whole documents: the order-dependent group-pattern extension
+//! ([`crate::DtdConfig::group_patterns`], off by default), which reads
+//! their child sequences through [`DtdView::child_sequences`], and WAL
+//! compaction, which rewrites each shard's log from
+//! [`CorpusIndex::stored_docs`].
 //!
 //! # Shape interning
 //!
-//! Real corpora — and the synthetic streams the scale harness pushes —
-//! repeat a modest set of structural *shapes* across millions of
-//! documents. A `DocPaths` is one sorted entry per distinct path; one
-//! converted resume keeps ~4.5 KB of heap and a ~25 KiB multi-resume
-//! page ~21 KB (`tests/ingest_alloc_counts.rs` pins both), which at 10⁶
-//! documents would be gigabytes of resident memory for what is mostly
-//! duplication. The index therefore interns documents: distinct shapes
-//! live once in a shape table and each accreted document is a 4-byte id
-//! in arrival order. Equality is exact (hash buckets, keyed by a hash of
-//! the sorted entries, are confirmed with a full `DocPaths` comparison),
-//! so [`CorpusIndex::docs`] yields precisely the accreted multiset in
-//! arrival order, at ~4 bytes per duplicate document.
+//! Documents repeat structural *shapes*, and a `DocPaths` is a costly
+//! way to keep one: ~4.5 KB of heap for one converted resume, ~21 KB
+//! for a ~25 KiB multi-resume page. The index therefore
+//! stores each distinct shape once, in the flat form of `shape.rs` —
+//! three allocations, labels as ids into one label table per index —
+//! and each accreted document as a 4-byte shape id in arrival order. A
+//! push builds the document's shape into a reused buffer, so a repeated
+//! shape allocates nothing, and copies it out only when it is new.
+//! Equality is exact (hash buckets, keyed by a hash of the shape, are
+//! confirmed with a full comparison), so [`CorpusIndex::docs`] rebuilds
+//! precisely the accreted multiset in arrival order.
 //!
 //! A push reads each of the document's entries once: one lookup in the
-//! per-path aggregates, one in the children index.
+//! per-path aggregates and one in the label table. The children index
+//! changes only when a path is new to the index, so only a new path
+//! looks its prefix up there.
 //!
 //! The index is append-only by design: document *removal* would require
 //! decrementing every table, and no current workload retires documents
@@ -52,55 +54,25 @@
 use crate::dtd_rules::DtdView;
 use crate::frequent::CorpusView;
 use crate::paths::{DocPaths, LabelPath};
+use crate::shape::{Labels, PathTrie, Shape, StoredDoc};
 use crate::sharded::{PathStats, PathTable};
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// A content hash of a document shape, over its entries in path order.
-/// Each path is hashed by its length and last label only: entries come
-/// sorted, and a sorted prefix-closed path set is its trie's pre-order,
-/// which those two determine. Collisions are harmless anyway: interning
-/// confirms every bucket hit with full equality.
-fn shape_hash(doc: &DocPaths) -> u64 {
-    let mut h = fnv_bytes(FNV_OFFSET, doc.root_label.as_bytes());
-    h = h.wrapping_mul(FNV_PRIME) ^ doc.node_count as u64;
-    for entry in doc.entries() {
-        let label = entry.path.last().map_or("", String::as_str);
-        h = fnv_bytes(
-            h.wrapping_mul(FNV_PRIME) ^ entry.path.len() as u64,
-            label.as_bytes(),
-        );
-        h = h.wrapping_mul(FNV_PRIME) ^ u64::from(entry.multiplicity);
-        h = h.wrapping_mul(FNV_PRIME) ^ entry.pos_sum.to_bits().wrapping_add(entry.pos_count);
-        for seq in &entry.child_sequences {
-            for &child in seq {
-                h = (h ^ u64::from(child)).wrapping_mul(FNV_PRIME);
-            }
-            h = (h ^ 0xfd).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
 
 /// An append-only corpus with the miner's query tables kept incrementally.
 #[derive(Clone, Debug, Default)]
 pub struct CorpusIndex {
+    /// The names behind every shape's label ids.
+    labels: Labels,
     /// Distinct document shapes, in first-arrival order.
-    shapes: Vec<DocPaths>,
+    shapes: Vec<Shape>,
     /// One shape id per accreted document, in arrival order.
     order: Vec<u32>,
-    /// Shape-hash → candidate shape ids (collision bucket).
+    /// Shape fingerprint → candidate shape ids (collision bucket).
     intern: HashMap<u64, Vec<u32>>,
+    /// The shape of the document being pushed; copied into `shapes`
+    /// only when new.
+    scratch: Shape,
     /// One aggregate per distinct label path.
     stats: HashMap<LabelPath, PathStats>,
     children: HashMap<LabelPath, BTreeSet<String>>,
@@ -115,28 +87,28 @@ impl CorpusIndex {
     }
 
     /// Builds an index from an existing batch of documents.
-    pub fn from_docs(docs: impl IntoIterator<Item = DocPaths>) -> Self {
+    pub fn from_docs(docs: impl IntoIterator<Item = impl Borrow<DocPaths>>) -> Self {
         let mut index = CorpusIndex::new();
         for doc in docs {
-            index.push(doc);
+            index.push(doc.borrow());
         }
         index
     }
 
     /// Accretes one document, updating every table. O(paths in `doc`);
-    /// keys and labels are cloned only when they are new to a table.
-    pub fn push(&mut self, doc: DocPaths) {
+    /// keys and labels are cloned only when they are new to a table, and
+    /// the document's shape is copied only when it is new to the index.
+    pub fn push(&mut self, doc: &DocPaths) {
         for entry in doc.entries() {
             let path = &entry.path;
-            match self.stats.get_mut(path.as_slice()) {
-                Some(stats) => stats.add_doc(entry),
-                None => {
-                    self.stats.insert(path.clone(), PathStats::of(entry));
-                }
+            if let Some(stats) = self.stats.get_mut(path.as_slice()) {
+                // A known path is already in the children index.
+                stats.add_doc(entry);
+                continue;
             }
+            self.stats.insert(path.clone(), PathStats::of(entry));
             if let Some((label, prefix)) = path.split_last().filter(|(_, p)| !p.is_empty()) {
                 match self.children.get_mut(prefix) {
-                    Some(labels) if labels.contains(label) => {}
                     Some(labels) => {
                         labels.insert(label.clone());
                     }
@@ -153,31 +125,43 @@ impl CorpusIndex {
                 self.root_votes.insert(doc.root_label.clone(), 1);
             }
         }
-        let id = self.intern_shape(doc);
+        let labels = &mut self.labels;
+        self.scratch.build(doc, |name| labels.intern(name));
+        let id = self.intern_scratch();
         self.order.push(id);
         self.version += 1;
     }
 
-    /// Returns the id of `doc`'s shape, storing it if unseen. Bucket
-    /// hits are confirmed with full equality, so two documents share an
-    /// id exactly when their `DocPaths` are equal.
-    fn intern_shape(&mut self, doc: DocPaths) -> u32 {
-        let bucket = self.intern.entry(shape_hash(&doc)).or_default();
+    /// Returns the id of the shape in `scratch`, storing a copy if
+    /// unseen. Bucket hits are confirmed with full equality, so two
+    /// documents share an id exactly when they are equal.
+    fn intern_scratch(&mut self) -> u32 {
+        let bucket = self.intern.entry(self.scratch.fingerprint()).or_default();
         for &id in bucket.iter() {
-            if self.shapes[id as usize] == doc {
+            if self.shapes[id as usize] == self.scratch {
                 return id;
             }
         }
         let id = u32::try_from(self.shapes.len()).expect("shape table overflow");
-        self.shapes.push(doc);
+        // A clone allocates each array at its exact length.
+        self.shapes.push(self.scratch.clone());
         bucket.push(id);
         id
     }
 
-    /// The accreted documents, in arrival order with repetitions.
-    /// Duplicates yield the same interned `DocPaths` reference.
-    pub fn docs(&self) -> impl Iterator<Item = &DocPaths> + '_ {
-        self.order.iter().map(|&id| &self.shapes[id as usize])
+    /// The accreted documents, in arrival order with repetitions, as the
+    /// index stores them.
+    pub fn stored_docs(&self) -> impl Iterator<Item = StoredDoc<'_>> + '_ {
+        self.order.iter().map(|&id| StoredDoc {
+            shape: &self.shapes[id as usize],
+            labels: &self.labels,
+        })
+    }
+
+    /// The accreted documents, in arrival order with repetitions, each
+    /// rebuilt as a `DocPaths` (see [`StoredDoc::to_doc_paths`]).
+    pub fn docs(&self) -> impl Iterator<Item = DocPaths> + '_ {
+        self.stored_docs().map(|doc| doc.to_doc_paths())
     }
 
     /// Number of accreted documents.
@@ -221,12 +205,22 @@ impl CorpusIndex {
         for (label, votes) in other.root_votes {
             *self.root_votes.entry(label).or_insert(0) += votes;
         }
-        // Re-intern `other`'s shape table (ids are index-local), then
-        // remap its arrival order onto ours.
+        // Re-intern `other`'s shapes over our labels (ids are
+        // index-local), then remap its arrival order onto ours.
+        let relabel: Vec<u32> = other
+            .labels
+            .names()
+            .iter()
+            .map(|name| self.labels.intern(name))
+            .collect();
         let remap: Vec<u32> = other
             .shapes
             .into_iter()
-            .map(|shape| self.intern_shape(shape))
+            .map(|mut shape| {
+                shape.relabel(&relabel);
+                self.scratch = shape;
+                self.intern_scratch()
+            })
             .collect();
         self.order
             .extend(other.order.iter().map(|&id| remap[id as usize]));
@@ -280,6 +274,17 @@ impl CorpusView for CorpusIndex {
 impl DtdView for CorpusIndex {
     fn path_stats(&self, path: &[String]) -> PathStats {
         self.stats_of(path).cloned().unwrap_or_default()
+    }
+
+    fn child_sequences(&self, paths: &[LabelPath]) -> Vec<Vec<Vec<&str>>> {
+        let mut out = vec![Vec::new(); paths.len()];
+        let trie = PathTrie::new(paths, &self.labels);
+        let mut node_of = Vec::new();
+        for &id in &self.order {
+            let shape = &self.shapes[id as usize];
+            trie.collect(shape, &self.labels, &mut node_of, &mut out);
+        }
+        out
     }
 }
 
@@ -383,17 +388,17 @@ mod tests {
         let mut index = CorpusIndex::new();
         // Push the corpus three times over: 9 documents, 3 shapes.
         for _ in 0..3 {
-            for doc in docs.clone() {
+            for doc in &docs {
                 index.push(doc);
             }
         }
         assert_eq!(index.len(), 9);
         assert_eq!(index.distinct_shapes(), 3);
         // Arrival order (with repetitions) is preserved exactly.
-        let replayed: Vec<&DocPaths> = index.docs().collect();
+        let replayed: Vec<DocPaths> = index.docs().collect();
         assert_eq!(replayed.len(), 9);
         for (i, doc) in replayed.iter().enumerate() {
-            assert_eq!(**doc, docs[i % 3], "doc {i} diverges");
+            assert_eq!(*doc, docs[i % 3], "doc {i} diverges");
         }
         // Interning is invisible to the aggregate view.
         assert_eq!(
@@ -412,9 +417,9 @@ mod tests {
         a.absorb(b);
         assert_eq!(a.len(), 6);
         assert_eq!(a.distinct_shapes(), 3, "absorb must not duplicate shapes");
-        let replayed: Vec<&DocPaths> = a.docs().collect();
+        let replayed: Vec<DocPaths> = a.docs().collect();
         for (i, doc) in replayed.iter().enumerate() {
-            assert_eq!(**doc, docs[i % 3], "doc {i} diverges");
+            assert_eq!(*doc, docs[i % 3], "doc {i} diverges");
         }
     }
 
@@ -422,7 +427,7 @@ mod tests {
     fn version_tracks_pushes() {
         let mut index = CorpusIndex::new();
         assert_eq!(index.version(), 0);
-        for (i, doc) in corpus(FIGURE2).into_iter().enumerate() {
+        for (i, doc) in corpus(FIGURE2).iter().enumerate() {
             index.push(doc);
             assert_eq!(index.version(), i as u64 + 1);
         }

@@ -20,12 +20,14 @@ pub mod incremental;
 pub mod majority;
 pub mod paths;
 pub mod search_space;
+mod shape;
 pub mod sharded;
 
-pub use codec::{doc_from_record, doc_to_record};
+pub use codec::{doc_from_record, doc_to_record, encode};
 pub use dtd_rules::{derive_dtd, derive_dtd_from, DtdConfig, DtdView};
 pub use frequent::{CorpusView, FrequentPathMiner, MiningOutcome};
 pub use incremental::CorpusIndex;
 pub use majority::{MajoritySchema, SchemaNode};
 pub use paths::{average_position, doc_frequency, extract_paths, DocPaths, LabelPath, PathEntry};
+pub use shape::StoredDoc;
 pub use sharded::{PathStats, PathTable, ShardedCorpus};

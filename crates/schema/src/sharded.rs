@@ -268,7 +268,7 @@ impl ShardedCorpus {
 
     /// Accretes a document into the shard its content hash selects;
     /// returns that shard's id.
-    pub fn push(&mut self, hash: u64, doc: DocPaths) -> usize {
+    pub fn push(&mut self, hash: u64, doc: &DocPaths) -> usize {
         let shard = self.shard_of(hash);
         self.shards[shard].push(doc);
         shard
@@ -276,7 +276,7 @@ impl ShardedCorpus {
 
     /// Accretes a document into an explicit shard, one the caller has
     /// already routed to with [`ShardedCorpus::shard_of`].
-    pub fn push_to(&mut self, shard: usize, doc: DocPaths) {
+    pub fn push_to(&mut self, shard: usize, doc: &DocPaths) {
         self.shards[shard].push(doc);
     }
 
@@ -286,9 +286,9 @@ impl ShardedCorpus {
     }
 
     /// The accreted documents in shard order, then arrival order within
-    /// a shard (duplicates interned) — the order DTD group-pattern
-    /// detection reads them in.
-    pub fn docs(&self) -> impl Iterator<Item = &DocPaths> + '_ {
+    /// a shard — the order DTD group-pattern detection reads them in —
+    /// each rebuilt as a `DocPaths`.
+    pub fn docs(&self) -> impl Iterator<Item = DocPaths> + '_ {
         self.shards.iter().flat_map(CorpusIndex::docs)
     }
 
@@ -356,6 +356,17 @@ impl DtdView for ShardedCorpus {
             total.merge_from(stats);
         }
         total
+    }
+
+    /// Shard order, then arrival order within a shard.
+    fn child_sequences(&self, paths: &[LabelPath]) -> Vec<Vec<Vec<&str>>> {
+        let mut out = vec![Vec::new(); paths.len()];
+        for shard in &self.shards {
+            for (all, more) in out.iter_mut().zip(shard.child_sequences(paths)) {
+                all.extend(more);
+            }
+        }
+        out
     }
 }
 
@@ -471,7 +482,7 @@ mod tests {
             let mut sharded = ShardedCorpus::new(shard_count);
             for (i, doc) in docs.iter().enumerate() {
                 // Any deterministic hash works; route by index mix.
-                sharded.push((i as u64).wrapping_mul(0x9E37_79B9), doc.clone());
+                sharded.push((i as u64).wrapping_mul(0x9E37_79B9), doc);
             }
             assert_eq!(sharded.len(), docs.len());
             let mut universe: Vec<&LabelPath> =
@@ -503,7 +514,7 @@ mod tests {
             let docs = random_corpus(&mut rng);
             let mut sharded = ShardedCorpus::new(rng.gen_range(1..=5usize));
             for (i, doc) in docs.iter().enumerate() {
-                sharded.push(i as u64, doc.clone());
+                sharded.push(i as u64, doc);
             }
             let miner = FrequentPathMiner {
                 sup_threshold: *SUPS.choose(&mut rng).unwrap(),
@@ -540,7 +551,7 @@ mod tests {
     fn shard_routing_is_stable_by_hash() {
         let mut sharded = ShardedCorpus::new(4);
         let docs = corpus(&["<r><a/></r>"]);
-        let shard = sharded.push(42, docs[0].clone());
+        let shard = sharded.push(42, &docs[0]);
         assert_eq!(shard, sharded.shard_of(42));
         assert_eq!(sharded.shards()[shard].len(), 1);
         assert_eq!(sharded.version(), 1);

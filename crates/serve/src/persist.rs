@@ -43,7 +43,7 @@
 use std::fs::OpenOptions;
 use std::io;
 use std::path::{Path, PathBuf};
-use webre_schema::{doc_from_record, doc_to_record, CorpusIndex, ShardedCorpus};
+use webre_schema::{doc_from_record, encode, CorpusIndex, ShardedCorpus};
 use webre_substrate::json::Json;
 use webre_substrate::wal::{
     append_record, decode_records, write_file_atomic, WalWriter,
@@ -182,7 +182,7 @@ fn replay_log(
     for record in &decoded.records {
         match doc_from_record(record) {
             Ok(doc) => {
-                index.push(doc);
+                index.push(&doc);
                 applied += 1;
             }
             // The frame checksum passed, so the payload is as written;
@@ -328,8 +328,8 @@ impl CorpusStore {
     /// intact.
     fn compact(&mut self, shard: usize, index: &CorpusIndex) -> io::Result<()> {
         let mut buf = Vec::new();
-        for doc in index.docs() {
-            append_record(&mut buf, &doc_to_record(doc));
+        for doc in index.stored_docs() {
+            append_record(&mut buf, &encode(doc));
         }
         write_file_atomic(&snapshot_path(&self.dir, shard), &buf)?;
         // Only once the snapshot durably covers every document may the
@@ -353,7 +353,7 @@ impl CorpusStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webre_schema::extract_paths;
+    use webre_schema::{doc_to_record, extract_paths};
     use webre_xml::parse_xml;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -378,7 +378,7 @@ mod tests {
         let doc = extract_paths(&parse_xml(xml).unwrap());
         let record = doc_to_record(&doc);
         let shard = corpus.shard_of(hash);
-        corpus.push_to(shard, doc);
+        corpus.push_to(shard, &doc);
         store
             .log_doc(shard, &record, &corpus.shards()[shard])
             .unwrap();
@@ -449,7 +449,7 @@ mod tests {
             let doc = extract_paths(&parse_xml(&xml).unwrap());
             let record = doc_to_record(&doc);
             let shard = corpus.shard_of(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            corpus.push_to(shard, doc);
+            corpus.push_to(shard, &doc);
             store
                 .log_doc(shard, &record, &corpus.shards()[shard])
                 .unwrap();
@@ -536,7 +536,7 @@ mod tests {
                 }
                 let doc = extract_paths(&parse_xml(xml).unwrap());
                 append_record(&mut buf, &doc_to_record(&doc));
-                expected.push_to(shard, doc);
+                expected.push_to(shard, &doc);
             }
             std::fs::write(wal_path(&dir, shard), &buf).unwrap();
             lengths.push(buf.len() as u64);

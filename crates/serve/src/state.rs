@@ -42,8 +42,19 @@ use webre_schema::{
     derive_dtd_from, doc_to_record, extract_paths, DocPaths, MajoritySchema, PathTable,
     ShardedCorpus,
 };
-use webre_substrate::wal::checksum;
+use webre_substrate::wal::Fnv1a;
+use webre_xml::writer::write_subtree;
 use webre_xml::{Dtd, XmlDocument};
+
+/// The shard-routing hash of a document: `wal::checksum` of its compact
+/// serialization, so the shard a document lands in depends only on its
+/// content. The serialization is streamed into the hash, not built.
+fn routing_hash(doc: &XmlDocument) -> u64 {
+    let mut hash = Fnv1a::default();
+    // webre::allow(panic-in-hot-path): `Fnv1a::write_str` never returns an error
+    write_subtree(doc, doc.root(), &mut hash).expect("hashing cannot fail");
+    hash.finish()
+}
 
 /// An immutable view of the discovered schema at some corpus version.
 #[derive(Clone, Debug)]
@@ -120,10 +131,7 @@ impl LiveCorpus {
     /// append failed (the document is in memory but its durability is
     /// not guaranteed).
     pub fn accrete(&self, doc: &XmlDocument, stats: &ConvertStats) -> io::Result<(u64, usize)> {
-        // Route by a hash of the canonical serialization so the shard a
-        // document lands in depends only on its content.
-        let hash = checksum(webre_xml::to_xml(doc).as_bytes());
-        self.accrete_paths(hash, extract_paths(doc), stats)
+        self.accrete_paths(routing_hash(doc), extract_paths(doc), stats)
     }
 
     /// Accretes an already-extracted document under an explicit routing
@@ -139,7 +147,7 @@ impl LiveCorpus {
         let record = self.has_store.then(|| doc_to_record(&paths));
         let mut inner = self.write();
         let shard = inner.corpus.shard_of(hash);
-        inner.corpus.push_to(shard, paths);
+        inner.corpus.push_to(shard, &paths);
         inner.stats.merge(stats);
         inner.snapshot = None;
         let Inner { corpus, store, .. } = &mut *inner;
@@ -149,6 +157,8 @@ impl LiveCorpus {
             // webre::allow(lock-across-blocking): the WAL append must happen inside the write lock — log order equals accretion order is the recovery invariant
             store.log_doc(shard, &record, &corpus.shards()[shard])?;
         }
+        // The index keeps its own copy of the document's shape; `paths`
+        // is freed after the guard is released.
         Ok((inner.corpus.version(), inner.corpus.len()))
     }
 
@@ -167,13 +177,7 @@ impl LiveCorpus {
         let (schema_text, dtd_text, mapping) = match engine.miner.mine_view(&inner.corpus) {
             None => (None, None, None),
             Some(outcome) => {
-                let corpus = &inner.corpus;
-                let dtd = derive_dtd_from(
-                    &outcome.schema,
-                    corpus,
-                    || corpus.docs(),
-                    &engine.dtd_config,
-                );
+                let dtd = derive_dtd_from(&outcome.schema, &inner.corpus, &engine.dtd_config);
                 (
                     Some(outcome.schema.render()),
                     Some(dtd.to_dtd_string()),
@@ -265,6 +269,25 @@ mod tests {
 
     fn convert(engine: &Engine, html: &str) -> (XmlDocument, ConvertStats) {
         engine.converter.convert_str(html)
+    }
+
+    #[test]
+    fn routing_hash_is_the_checksum_of_the_serialization() {
+        let engine = engine();
+        for html in [
+            include_str!("../../../tests/fixtures/resume_clean.html"),
+            include_str!("../../../tests/fixtures/resume_nested.html"),
+            include_str!("../../../tests/fixtures/resume_soup.html"),
+            include_str!("../../../tests/fixtures/resume_table.html"),
+        ] {
+            let (doc, _) = convert(&engine, html);
+            let xml = webre_xml::to_xml(&doc);
+            assert_eq!(
+                routing_hash(&doc),
+                webre_substrate::wal::checksum(xml.as_bytes()),
+                "{xml}"
+            );
+        }
     }
 
     #[test]

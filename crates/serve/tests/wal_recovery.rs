@@ -48,7 +48,7 @@ fn build_log(dir: &Path, docs: &[DocPaths]) -> Vec<u8> {
     let (mut store, mut corpus, _) = CorpusStore::open(&config(dir)).unwrap();
     for doc in docs {
         let record = doc_to_record(doc);
-        corpus.push_to(0, doc.clone());
+        corpus.push_to(0, doc);
         store.log_doc(0, &record, &corpus.shards()[0]).unwrap();
     }
     store.sync_to_disk().unwrap();
@@ -152,7 +152,7 @@ fn appending_after_recovery_continues_from_the_intact_prefix() {
     // The torn suffix was truncated; a fresh append must be replayable.
     let extra = extract_paths(&parse_xml("<resume><awards/></resume>").unwrap());
     let record = doc_to_record(&extra);
-    corpus.push_to(0, extra.clone());
+    corpus.push_to(0, &extra);
     store.log_doc(0, &record, &corpus.shards()[0]).unwrap();
     store.sync_to_disk().unwrap();
     drop(store);

@@ -40,12 +40,43 @@ pub const MAX_RECORD_LEN: usize = 256 << 20;
 
 /// FNV-1a over arbitrary bytes — the record checksum.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    hash.write(bytes);
+    hash.finish()
+}
+
+/// [`checksum`] fed in pieces: the hash of everything written, as one
+/// byte string. As a [`std::fmt::Write`] it hashes text as it is
+/// formatted, without a buffer.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    /// Hashes `bytes` after everything written so far.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Appends one framed record to `out`.

@@ -1,11 +1,12 @@
 //! XML serialization: compact (canonical-ish) and pretty-printed.
 
 use crate::document::{XmlDocument, XmlNode};
+use std::fmt;
 use webre_tree::{Edge, NodeId};
 
 /// Appends `input` to `out`, replacing `& < >` (and `"` when `quote`)
 /// with entities. Unescaped runs are copied whole.
-fn escape_into(input: &str, out: &mut String, quote: bool) {
+fn escape_into<W: fmt::Write + ?Sized>(input: &str, out: &mut W, quote: bool) -> fmt::Result {
     let mut run = 0;
     for (i, b) in input.bytes().enumerate() {
         let entity = match b {
@@ -15,62 +16,75 @@ fn escape_into(input: &str, out: &mut String, quote: bool) {
             b'"' if quote => "&quot;",
             _ => continue,
         };
-        out.push_str(&input[run..i]);
-        out.push_str(entity);
+        out.write_str(&input[run..i])?;
+        out.write_str(entity)?;
         run = i + 1;
     }
-    out.push_str(&input[run..]);
+    out.write_str(&input[run..])
 }
 
-fn escape_text(input: &str, out: &mut String) {
-    escape_into(input, out, false);
+fn escape_text<W: fmt::Write + ?Sized>(input: &str, out: &mut W) -> fmt::Result {
+    escape_into(input, out, false)
 }
 
-fn escape_attr(input: &str, out: &mut String) {
-    escape_into(input, out, true);
+fn escape_attr<W: fmt::Write + ?Sized>(input: &str, out: &mut W) -> fmt::Result {
+    escape_into(input, out, true)
 }
 
-fn open_tag(node: &XmlNode, out: &mut String) {
+fn open_tag<W: fmt::Write + ?Sized>(node: &XmlNode, out: &mut W) -> fmt::Result {
     if let XmlNode::Element { name, attrs } = node {
-        out.push('<');
-        out.push_str(name);
+        out.write_char('<')?;
+        out.write_str(name)?;
         for (k, v) in attrs {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_attr(v, out);
-            out.push('"');
+            out.write_char(' ')?;
+            out.write_str(k)?;
+            out.write_str("=\"")?;
+            escape_attr(v, out)?;
+            out.write_char('"')?;
         }
     }
+    Ok(())
 }
 
-/// Serializes the subtree at `id` without whitespace between elements.
-pub fn subtree_to_xml(doc: &XmlDocument, id: NodeId) -> String {
-    let mut out = String::new();
+/// Writes the subtree at `id` to `out` without whitespace between
+/// elements: the bytes [`subtree_to_xml`] returns, streamed, so a caller
+/// that only hashes or copies them needs no `String` of its own.
+pub fn write_subtree<W: fmt::Write + ?Sized>(
+    doc: &XmlDocument,
+    id: NodeId,
+    out: &mut W,
+) -> fmt::Result {
     for edge in doc.tree.traverse(id) {
         match edge {
             Edge::Open(n) => match doc.tree.value(n) {
                 e @ XmlNode::Element { .. } => {
-                    open_tag(e, &mut out);
+                    open_tag(e, out)?;
                     if doc.tree.is_leaf(n) {
-                        out.push_str("/>");
+                        out.write_str("/>")?;
                     } else {
-                        out.push('>');
+                        out.write_char('>')?;
                     }
                 }
-                XmlNode::Text(t) => escape_text(t, &mut out),
+                XmlNode::Text(t) => escape_text(t, out)?,
             },
             Edge::Close(n) => {
                 if let XmlNode::Element { name, .. } = doc.tree.value(n) {
                     if !doc.tree.is_leaf(n) {
-                        out.push_str("</");
-                        out.push_str(name);
-                        out.push('>');
+                        out.write_str("</")?;
+                        out.write_str(name)?;
+                        out.write_char('>')?;
                     }
                 }
             }
         }
     }
+    Ok(())
+}
+
+/// Serializes the subtree at `id` without whitespace between elements.
+pub fn subtree_to_xml(doc: &XmlDocument, id: NodeId) -> String {
+    let mut out = String::new();
+    write_subtree(doc, id, &mut out).expect("writing to a String cannot fail");
     out
 }
 
@@ -83,7 +97,7 @@ pub fn to_xml(doc: &XmlDocument) -> String {
 /// per line (text nodes are kept inline inside their parent).
 pub fn to_xml_pretty(doc: &XmlDocument) -> String {
     let mut out = String::new();
-    write_pretty(doc, doc.root(), 0, &mut out);
+    write_pretty(doc, doc.root(), 0, &mut out).expect("writing to a String cannot fail");
     out
 }
 
@@ -101,23 +115,23 @@ fn push_indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_pretty(doc: &XmlDocument, id: NodeId, depth: usize, out: &mut String) {
+fn write_pretty(doc: &XmlDocument, id: NodeId, depth: usize, out: &mut String) -> fmt::Result {
     match doc.tree.value(id) {
         XmlNode::Text(t) => {
             push_indent(out, depth);
-            escape_text(t, out);
+            escape_text(t, out)?;
             out.push('\n');
         }
         e @ XmlNode::Element { name, .. } => {
             push_indent(out, depth);
-            open_tag(e, out);
+            open_tag(e, out)?;
             if doc.tree.is_leaf(id) {
                 out.push_str("/>\n");
             } else if only_text_children(doc, id) {
                 out.push('>');
                 for c in doc.tree.children(id) {
                     if let XmlNode::Text(t) = doc.tree.value(c) {
-                        escape_text(t, out);
+                        escape_text(t, out)?;
                     }
                 }
                 out.push_str("</");
@@ -126,7 +140,7 @@ fn write_pretty(doc: &XmlDocument, id: NodeId, depth: usize, out: &mut String) {
             } else {
                 out.push_str(">\n");
                 for c in doc.tree.children(id) {
-                    write_pretty(doc, c, depth + 1, out);
+                    write_pretty(doc, c, depth + 1, out)?;
                 }
                 push_indent(out, depth);
                 out.push_str("</");
@@ -135,6 +149,7 @@ fn write_pretty(doc: &XmlDocument, id: NodeId, depth: usize, out: &mut String) {
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

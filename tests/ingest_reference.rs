@@ -7,6 +7,13 @@
 //! soup and random label trees, and, for the decoder, over mutations of
 //! those records. Equal bytes keep every existing WAL, snapshot and
 //! seeded data directory readable.
+//!
+//! The form a `CorpusIndex` stores each distinct document in is held to
+//! the same references over the same documents and every mutant record
+//! that decodes: it rebuilds its document exactly, it encodes to the
+//! reference encoder's bytes, and two stored documents compare equal
+//! exactly when their documents do — the equality shape interning
+//! relies on.
 
 use webre_check::gen::{mutate, soup_document};
 use webre_check::reference::{
@@ -15,15 +22,48 @@ use webre_check::reference::{
 use webre_concepts::resume;
 use webre_convert::Converter;
 use webre_corpus::CorpusGenerator;
-use webre_schema::{doc_from_record, doc_to_record, extract_paths};
+use webre_schema::{
+    doc_from_record, doc_to_record, encode, extract_paths, CorpusIndex, DocPaths, StoredDoc,
+};
 use webre_substrate::json::{write_number, Json};
 use webre_substrate::rand::rngs::StdRng;
 use webre_substrate::rand::seq::SliceRandom;
 use webre_substrate::rand::{Rng, SeedableRng};
 use webre_xml::{parse_xml, to_xml, XmlDocument};
 
-/// Checks one document: extraction, record bytes and decoding.
-fn check(what: &str, doc: &XmlDocument) {
+/// Checks the stored form of each of `docs` — pushed, in order, into
+/// one index — against its document and the reference encoder, and
+/// compares every two stored documents at most `window` apart.
+fn check_stored(what: &str, docs: &[DocPaths], window: usize) {
+    let index = CorpusIndex::from_docs(docs);
+    let stored: Vec<StoredDoc> = index.stored_docs().collect();
+    assert_eq!(stored.len(), docs.len());
+    for (i, (doc, s)) in docs.iter().zip(&stored).enumerate() {
+        assert!(
+            s.to_doc_paths() == *doc,
+            "{what} {i}: the stored form rebuilds a different document"
+        );
+        let record = encode(*s);
+        let reference = ref_doc_to_record(&RefDocPaths::of(doc));
+        assert!(
+            record == reference,
+            "{what} {i}: stored record bytes differ from the Json-tree encoder\n  ours: {}\n  reference: {}",
+            String::from_utf8_lossy(&record),
+            String::from_utf8_lossy(&reference)
+        );
+        for j in i.saturating_sub(window)..i {
+            assert_eq!(
+                *s == stored[j],
+                *doc == docs[j],
+                "{what}: stored {i} == stored {j} disagrees with the documents"
+            );
+        }
+    }
+}
+
+/// Checks one document: extraction, record bytes and decoding. Returns
+/// the extracted document.
+fn check(what: &str, doc: &XmlDocument) -> DocPaths {
     let paths = extract_paths(doc);
     let reference = ref_extract_paths(doc);
     assert!(
@@ -44,15 +84,17 @@ fn check(what: &str, doc: &XmlDocument) {
         paths,
         "{what}: reference decode"
     );
+    paths
 }
 
 /// Checks a converted page both as converted and as `/corpus/xml`
-/// receives it: serialized, then parsed back. Returns the element count.
-fn check_page(what: &str, converter: &Converter, html: &str) -> usize {
+/// receives it: serialized, then parsed back, adding both extractions to
+/// `docs`. Returns the element count.
+fn check_page(what: &str, converter: &Converter, html: &str, docs: &mut Vec<DocPaths>) -> usize {
     let (doc, _) = converter.convert_str(html);
-    check(what, &doc);
+    docs.push(check(what, &doc));
     let reparsed = parse_xml(&to_xml(&doc)).expect("converted XML parses");
-    check(what, &reparsed);
+    docs.push(check(what, &reparsed));
     doc.element_count()
 }
 
@@ -67,19 +109,23 @@ fn body_of(html: &str) -> &str {
 fn generated_resumes_match_the_reference() {
     let converter = Converter::new(resume::concepts());
     let generator = CorpusGenerator::new(7);
+    let mut docs = Vec::new();
     for i in 0..60 {
         check_page(
             &format!("resume {i}"),
             &converter,
             &generator.generate_one(i).html,
+            &mut docs,
         );
     }
+    check_stored("resume", &docs, 16);
 }
 
 #[test]
 fn multi_resume_pages_match_the_reference() {
     let converter = Converter::new(resume::concepts());
     let generator = CorpusGenerator::new(0x6D6D);
+    let mut docs = Vec::new();
     for page in 0..6usize {
         // 16–32 KiB of concatenated resumes, as crawled listing pages are.
         let target = 16 * 1024 + page * 3 * 1024;
@@ -91,25 +137,33 @@ fn multi_resume_pages_match_the_reference() {
             j += 1;
         }
         html.push_str("</body></html>\n");
-        let elements = check_page(&format!("multi-resume page {page}"), &converter, &html);
+        let elements = check_page(
+            &format!("multi-resume page {page}"),
+            &converter,
+            &html,
+            &mut docs,
+        );
         assert!(
             elements >= 300,
             "page {page} converts to only {elements} elements"
         );
     }
+    check_stored("multi-resume page", &docs, 16);
 }
 
 #[test]
 fn tag_soup_matches_the_reference() {
     let converter = Converter::new(resume::concepts());
     let mut rng = StdRng::seed_from_u64(20);
+    let mut docs = Vec::new();
     for i in 0..120 {
         let mut html = soup_document(&mut rng);
         if i % 2 == 1 {
             html = mutate(&html, &mut rng);
         }
-        check_page(&format!("soup {i}"), &converter, &html);
+        check_page(&format!("soup {i}"), &converter, &html, &mut docs);
     }
+    check_stored("soup", &docs, 16);
 }
 
 /// A random element: few labels, so siblings repeat; text runs between
@@ -143,13 +197,15 @@ fn random_element(rng: &mut StdRng, label: &str, depth: u32, out: &mut String) {
 
 #[test]
 fn random_trees_match_the_reference() {
+    let mut docs = Vec::new();
     for seed in 0..300u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut xml = String::new();
         let depth = rng.gen_range(1..=4u32);
         random_element(&mut rng, "r", depth, &mut xml);
-        check(&format!("seed {seed}"), &parse_xml(&xml).unwrap());
+        docs.push(check(&format!("seed {seed}"), &parse_xml(&xml).unwrap()));
     }
+    check_stored("random tree", &docs, 16);
 }
 
 #[test]
@@ -164,20 +220,21 @@ fn deep_and_wide_trees_match_the_reference() {
         xml.push_str(&format!("</{}>", labels[i % 2]));
     }
     xml.push_str("</r>");
-    check("chain", &parse_xml(&xml).unwrap());
+    let chain = check("chain", &parse_xml(&xml).unwrap());
     // 500 siblings, interleaved labels and text.
     let mut xml = String::from("<r>");
     for i in 0..500 {
         xml.push_str(&format!("<{}><x/></{}>t", labels[i % 2], labels[i % 2]));
     }
     xml.push_str("</r>");
-    check("wide", &parse_xml(&xml).unwrap());
+    let wide = check("wide", &parse_xml(&xml).unwrap());
+    check_stored("deep and wide", &[chain, wide], 1);
 }
 
 /// Decodes `record` with the pull reader and with the `Json`-tree
 /// reference; they must agree on Ok/Err and, when Ok, on the value.
-/// Returns whether the record decoded.
-fn decoders_agree(what: &str, record: &[u8]) -> bool {
+/// Returns the document, if the record decoded.
+fn decoders_agree(what: &str, record: &[u8]) -> Option<DocPaths> {
     let ours = doc_from_record(record);
     let reference = ref_doc_from_record(record);
     match (&ours, &reference) {
@@ -190,7 +247,7 @@ fn decoders_agree(what: &str, record: &[u8]) -> bool {
             String::from_utf8_lossy(record)
         ),
     }
-    ours.is_ok()
+    ours.ok()
 }
 
 /// A small random JSON value; one in ten is an array nest 240–300
@@ -354,8 +411,13 @@ fn mutated_records_decode_like_the_reference() {
         records.push(doc_to_record(&extract_paths(&parse_xml(&xml).unwrap())));
     }
     let (mut structural_ok, mut byte_ok, mut total) = (0, 0, 0);
+    // Decoded mutants whose path set lacks a prefix of one of its paths.
+    let mut unlisted = 0;
     for (i, record) in records.iter().enumerate() {
-        assert!(decoders_agree(&format!("record {i}"), record));
+        let original = decoders_agree(&format!("record {i}"), record).expect("records decode");
+        // The record's decoded mutants, with the original twice among
+        // them, for the stored form.
+        let mut family = vec![original.clone()];
         let donor = &records[(i + 1) % records.len()];
         let tree = Json::parse(std::str::from_utf8(record).unwrap()).unwrap();
         for j in 0..40 {
@@ -364,15 +426,30 @@ fn mutated_records_decode_like_the_reference() {
             mutate_tree(&mut rng, &mut mutant);
             let mut text = String::new();
             print_escaped(&mut rng, &mutant, &mut text);
-            structural_ok += usize::from(decoders_agree(&what, text.as_bytes()));
+            if let Some(doc) = decoders_agree(&what, text.as_bytes()) {
+                structural_ok += 1;
+                family.push(doc);
+            }
             let mut bytes = if rng.gen_bool(0.5) { text.into_bytes() } else { record.clone() };
             mutate_bytes(&mut rng, &mut bytes, donor);
-            byte_ok += usize::from(decoders_agree(&what, &bytes));
+            if let Some(doc) = decoders_agree(&what, &bytes) {
+                byte_ok += 1;
+                family.push(doc);
+            }
             total += 1;
+            if j == 20 {
+                family.push(original.clone());
+            }
         }
+        unlisted += family
+            .iter()
+            .filter(|doc| doc.paths().any(|p| !doc.contains(&p[..p.len() - 1])))
+            .count();
+        check_stored(&format!("record {i} mutants"), &family, family.len());
     }
     // Both kinds must reach the decoder's accepting paths, not only its
     // error paths.
     assert!(structural_ok * 5 >= total, "{structural_ok} of {total} structural mutants decode");
     assert!(byte_ok * 10 >= total, "{byte_ok} of {total} byte mutants decode");
+    assert!(unlisted > 0, "no decoded mutant lacks a path prefix");
 }
